@@ -19,7 +19,7 @@
 /// One source line, split into channels.
 #[derive(Debug, Clone, Default)]
 pub struct Line {
-    /// Original text (used for allowlist matching and reports).
+    /// Original text (used for reports).
     pub raw: String,
     /// Code text: comments stripped, string/char literal contents blanked
     /// with spaces (delimiters preserved so token boundaries survive).

@@ -8,26 +8,26 @@
 //! ([`lexer`]), the per-line repo-specific lints ([`lints`]), a
 //! concurrency-correctness layer — guard-scope dataflow ([`guards`]),
 //! a cross-file lock acquisition-order graph ([`lockgraph`]), and an
-//! acquire/release pairing audit ([`atomics`]) — cross-file domain
-//! invariant checks ([`invariants`]), and a content-keyed allowlist
-//! ([`allowlist`]), wired into `pagpass analyze` and CI.
+//! acquire/release pairing audit ([`atomics`]) — and cross-file domain
+//! invariant checks ([`invariants`]), wired into `pagpass analyze` and CI.
+//! A finding is suppressed only by an inline `// LINT-ALLOW:` annotation
+//! at its site.
 //!
 //! Std-only by design, like `pagpass-telemetry`: the analysis gate must
 //! not depend on anything it polices.
 //!
 //! ```
-//! use pagpass_analysis::{analyze_sources, Allowlist, AnalysisInputs};
+//! use pagpass_analysis::{analyze_sources, AnalysisInputs};
 //!
 //! let files = vec![(
 //!     "crates/demo/src/lib.rs".to_string(),
 //!     "fn f(x: Option<u32>) -> u32 { x.unwrap() }".to_string(),
 //! )];
-//! let report = analyze_sources(files, &AnalysisInputs::default(), &Allowlist::default());
+//! let report = analyze_sources(files, &AnalysisInputs::default());
 //! assert_eq!(report.findings.len(), 1);
-//! assert_eq!(report.findings[0].finding.lint, "no-unwrap-in-lib");
+//! assert_eq!(report.findings[0].lint, "no-unwrap-in-lib");
 //! ```
 
-pub mod allowlist;
 pub mod atomics;
 pub mod guards;
 pub mod invariants;
@@ -37,7 +37,6 @@ pub mod lockgraph;
 
 use std::path::{Path, PathBuf};
 
-pub use allowlist::{Allowlist, Entry};
 pub use lexer::{FileKind, SourceFile};
 pub use lints::{Finding, Severity};
 pub use lockgraph::LockOrderFile;
@@ -54,23 +53,12 @@ pub struct AnalysisInputs {
     pub lock_order: Option<LockOrderFile>,
 }
 
-/// A finding plus its allowlist disposition.
-#[derive(Debug, Clone)]
-pub struct Disposition {
-    /// The underlying finding.
-    pub finding: Finding,
-    /// True when an allowlist entry covers it (inline-annotated sites
-    /// never reach this point — the lints drop them at the source).
-    pub allowed: bool,
-}
-
 /// The result of one analysis run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Every finding, allowlisted or not, ordered by path then line.
-    pub findings: Vec<Disposition>,
-    /// Allowlist entries that matched nothing (these fail the run).
-    pub stale: Vec<Entry>,
+    /// Every finding, ordered by path then line (inline-annotated sites
+    /// never reach this point — the lints drop them at the source).
+    pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Canonical lock acquisition order computed from the tree (empty
@@ -79,25 +67,19 @@ pub struct Report {
 }
 
 impl Report {
-    /// Findings not covered by the allowlist, at the given strictness.
+    /// Findings that fail the run at the given strictness.
     #[must_use]
-    pub fn active(&self, deny_all: bool) -> Vec<&Disposition> {
+    pub fn active(&self, deny_all: bool) -> Vec<&Finding> {
         self.findings
             .iter()
-            .filter(|d| !d.allowed && (deny_all || d.finding.severity == Severity::Deny))
+            .filter(|f| deny_all || f.severity == Severity::Deny)
             .collect()
-    }
-
-    /// Count of allowlisted findings.
-    #[must_use]
-    pub fn allowed_count(&self) -> usize {
-        self.findings.iter().filter(|d| d.allowed).count()
     }
 
     /// True when the run should exit non-zero.
     #[must_use]
     pub fn failed(&self, deny_all: bool) -> bool {
-        !self.active(deny_all).is_empty() || !self.stale.is_empty()
+        !self.active(deny_all).is_empty()
     }
 
     /// Renders the human-readable report.
@@ -105,11 +87,7 @@ impl Report {
     pub fn render(&self, deny_all: bool) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for d in &self.findings {
-            if d.allowed {
-                continue;
-            }
-            let f = &d.finding;
+        for f in &self.findings {
             let tag = match f.severity {
                 Severity::Deny => "deny",
                 Severity::Warn if deny_all => "deny",
@@ -122,27 +100,18 @@ impl Report {
             );
             let _ = writeln!(out, "    {}", f.snippet);
         }
-        for e in &self.stale {
-            let _ = writeln!(
-                out,
-                "{}: [stale-allowlist] entry for `{}` no longer matches anything — delete it: {}",
-                e.path, e.lint, e.text
-            );
-        }
         let warns = self
             .findings
             .iter()
-            .filter(|d| !d.allowed && d.finding.severity == Severity::Warn)
+            .filter(|f| f.severity == Severity::Warn)
             .count();
         let denied = self.active(deny_all).len();
         let _ = writeln!(
             out,
-            "analyze: {} files scanned, {} finding(s) denied, {} warning(s), {} allowlisted site(s), {} stale allowlist entr(ies)",
+            "analyze: {} files scanned, {} finding(s) denied, {} warning(s)",
             self.files_scanned,
             denied,
             if deny_all { 0 } else { warns },
-            self.allowed_count(),
-            self.stale.len()
         );
         out
     }
@@ -151,11 +120,7 @@ impl Report {
 /// Analyzes in-memory sources: `(workspace-relative path, contents)`.
 /// See [`AnalysisInputs`] for the optional non-source inputs.
 #[must_use]
-pub fn analyze_sources(
-    files: Vec<(String, String)>,
-    inputs: &AnalysisInputs,
-    allowlist: &Allowlist,
-) -> Report {
+pub fn analyze_sources(files: Vec<(String, String)>, inputs: &AnalysisInputs) -> Report {
     let lexed: Vec<SourceFile> = files
         .iter()
         .map(|(path, text)| SourceFile::lex(path, text))
@@ -173,16 +138,8 @@ pub fn analyze_sources(
     let (graph_findings, lock_order) = lockgraph::run(&lexed, inputs.lock_order.as_ref());
     findings.extend(graph_findings);
     findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
-    let findings = findings
-        .into_iter()
-        .map(|f| Disposition {
-            allowed: allowlist.covers(&f),
-            finding: f,
-        })
-        .collect();
     Report {
         findings,
-        stale: allowlist.stale().into_iter().cloned().collect(),
         files_scanned: lexed.len(),
         lock_order,
     }
@@ -199,11 +156,7 @@ pub fn analyze_sources(
 /// # Errors
 ///
 /// Returns a message for unreadable files or a missing workspace layout.
-pub fn analyze_repo(
-    root: &Path,
-    lock_order_path: Option<&Path>,
-    allowlist: &Allowlist,
-) -> Result<Report, String> {
+pub fn analyze_repo(root: &Path, lock_order_path: Option<&Path>) -> Result<Report, String> {
     if !root.join("Cargo.toml").exists() {
         return Err(format!(
             "{} does not look like a workspace root (no Cargo.toml)",
@@ -257,7 +210,7 @@ pub fn analyze_repo(
         ci_yaml,
         lock_order,
     };
-    Ok(analyze_sources(files, &inputs, allowlist))
+    Ok(analyze_sources(files, &inputs))
 }
 
 /// Recursively collects `.rs` files under `dir`, skipping `fixtures` and
@@ -288,7 +241,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn end_to_end_with_allowlist() {
+    fn end_to_end_detection() {
         let files = vec![
             (
                 "crates/a/src/lib.rs".to_string(),
@@ -299,46 +252,23 @@ mod tests {
                 "fn t() { x.unwrap(); }".to_string(),
             ),
         ];
-        let report = analyze_sources(
-            files.clone(),
-            &AnalysisInputs::default(),
-            &Allowlist::default(),
-        );
+        let report = analyze_sources(files, &AnalysisInputs::default());
         assert_eq!(report.findings.len(), 2);
         assert!(report.failed(false));
 
-        // Allowlist the unwrap: only the println remains active.
-        let text = "no-unwrap-in-lib\tcrates/a/src/lib.rs\tfn f() { x.unwrap(); }\n";
-        let allow = Allowlist::parse(text).unwrap();
-        let report = analyze_sources(files, &AnalysisInputs::default(), &allow);
-        assert_eq!(report.allowed_count(), 1);
-        assert_eq!(report.active(false).len(), 1);
-        assert!(report.stale.is_empty());
-    }
-
-    #[test]
-    fn stale_entries_fail_the_run() {
-        let allow = Allowlist::parse("no-unwrap-in-lib\tcrates/a/src/lib.rs\tgone();\n").unwrap();
-        let report = analyze_sources(
+        let clean = analyze_sources(
             vec![("crates/a/src/lib.rs".to_string(), "fn ok() {}".to_string())],
             &AnalysisInputs::default(),
-            &allow,
         );
-        assert!(report.findings.is_empty());
-        assert_eq!(report.stale.len(), 1);
-        assert!(report.failed(false));
-        assert!(report.render(false).contains("stale-allowlist"));
+        assert!(clean.findings.is_empty());
+        assert!(!clean.failed(true));
     }
 
     #[test]
     fn lock_order_and_graph_flow_through_the_report() {
         let src = "impl Pool {\n    fn run(&self) {\n        let g = self.submit.lock();\n        let s = self.state.lock();\n    }\n}";
         let files = vec![("crates/nn/src/pool.rs".to_string(), src.to_string())];
-        let report = analyze_sources(
-            files.clone(),
-            &AnalysisInputs::default(),
-            &Allowlist::default(),
-        );
+        let report = analyze_sources(files.clone(), &AnalysisInputs::default());
         assert!(report.findings.is_empty(), "{:?}", report.findings);
         assert_eq!(report.lock_order, vec!["nn:Pool.submit", "nn:Pool.state"]);
 
@@ -351,7 +281,7 @@ mod tests {
             }),
             ..AnalysisInputs::default()
         };
-        let clean = analyze_sources(files.clone(), &inputs, &Allowlist::default());
+        let clean = analyze_sources(files.clone(), &inputs);
         assert!(!clean.failed(true), "{}", clean.render(true));
 
         let inputs = AnalysisInputs {
@@ -361,11 +291,8 @@ mod tests {
             }),
             ..AnalysisInputs::default()
         };
-        let contradicted = analyze_sources(files, &inputs, &Allowlist::default());
+        let contradicted = analyze_sources(files, &inputs);
         assert!(contradicted.failed(false));
-        assert!(contradicted
-            .findings
-            .iter()
-            .any(|d| d.finding.lint == "lock-order"));
+        assert!(contradicted.findings.iter().any(|f| f.lint == "lock-order"));
     }
 }

@@ -10,9 +10,6 @@
 //! * `// DET: <why>` — justifies wall-clock use inside a deterministic
 //!   module (telemetry timing, deadlines),
 //! * `// LINT-ALLOW: <lint-name> <why>` — suppresses any lint by name.
-//!
-//! Sites that predate the lint and are not worth annotating live in the
-//! allowlist file instead (`analysis/allowlist.txt`).
 
 use crate::lexer::{has_annotation, FileKind, SourceFile};
 
@@ -36,7 +33,7 @@ pub struct Finding {
     pub line: usize,
     /// Human-readable description.
     pub message: String,
-    /// The offending source line, trimmed (also the allowlist match key).
+    /// The offending source line, trimmed.
     pub snippet: String,
     /// Default severity of the lint that produced this.
     pub severity: Severity,

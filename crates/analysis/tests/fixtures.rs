@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use pagpass_analysis::{analyze_sources, Allowlist, AnalysisInputs, LockOrderFile};
+use pagpass_analysis::{analyze_sources, AnalysisInputs, LockOrderFile};
 
 fn directive<'a>(text: &'a str, tag: &str) -> Option<&'a str> {
     text.lines()
@@ -99,15 +99,15 @@ fn fixtures_match_goldens() {
             .iter()
             .map(|f| (f.vpath.clone(), f.text.clone()))
             .collect();
-        let report = analyze_sources(sources, &inputs, &Allowlist::default());
+        let report = analyze_sources(sources, &inputs);
         for fixture in fixtures {
             // Solo fixtures see every finding (including ones reported at
             // the lock-order file's path); group members only their own.
             let actual: Vec<String> = report
                 .findings
                 .iter()
-                .filter(|d| fixtures.len() == 1 || d.finding.path == fixture.vpath)
-                .map(|d| format!("{}:{}", d.finding.line, d.finding.lint))
+                .filter(|f| fixtures.len() == 1 || f.path == fixture.vpath)
+                .map(|f| format!("{}:{}", f.line, f.lint))
                 .collect();
             let golden_path = dir.join(fixture.name.replace(".rs", ".expected"));
             let golden = fs::read_to_string(&golden_path)
@@ -125,10 +125,7 @@ fn fixtures_match_goldens() {
                     report
                         .findings
                         .iter()
-                        .map(|d| format!(
-                            "    {}:{} [{}] {}",
-                            d.finding.path, d.finding.line, d.finding.lint, d.finding.message
-                        ))
+                        .map(|f| format!("    {}:{} [{}] {}", f.path, f.line, f.lint, f.message))
                         .collect::<Vec<_>>()
                         .join("\n")
                 ));

@@ -1,12 +1,12 @@
-//! Paired benchmark — D&C-GEN split-phase and end-to-end throughput with
-//! and without cross-task KV-cache prefix reuse.
+//! Paired benchmark — D&C-GEN split-phase throughput with and without
+//! cross-task KV-cache prefix reuse.
 //!
 //! The "before" arm recomputes every task's full prompt from scratch (the
 //! behaviour prior to `pagpassgpt::InferenceSession`); the "after" arm
 //! threads one session through the same task sequence so each query pays
 //! only the tokens past the longest cached prefix. Reuse is bit-exact, so
-//! both arms must produce identical distributions and identical passwords —
-//! the benchmark asserts this rather than trusting it.
+//! both arms must produce identical distributions — the benchmark asserts
+//! this rather than trusting it.
 //!
 //! Run `cargo run --release -p pagpass-bench --bin dcgen_inference` for the
 //! full configuration (depth-4 split tree over an N8 pattern) or with
@@ -17,10 +17,10 @@ use std::time::Instant;
 
 use pagpass_bench::save_json;
 use pagpass_nn::{set_kernel_mode, GptConfig, KernelMode};
-use pagpass_patterns::{Pattern, PatternDistribution};
+use pagpass_patterns::Pattern;
 use pagpass_telemetry::JsonValue;
 use pagpass_tokenizer::VOCAB_SIZE;
-use pagpassgpt::{DcGen, DcGenConfig, DcGenOptions, InferenceSession, ModelKind, PasswordModel};
+use pagpassgpt::{InferenceSession, ModelKind, PasswordModel};
 
 struct Setup {
     mode: &'static str,
@@ -29,9 +29,6 @@ struct Setup {
     /// Budget/threshold for the split-phase tree expansion.
     split_total: f64,
     split_threshold: f64,
-    /// Budget/threshold for the end-to-end paired dcgen run.
-    e2e_total: u64,
-    e2e_threshold: u64,
 }
 
 fn setup(smoke: bool) -> Setup {
@@ -48,8 +45,6 @@ fn setup(smoke: bool) -> Setup {
             pattern: "N5",
             split_total: 20_000.0,
             split_threshold: 30.0,
-            e2e_total: 800,
-            e2e_threshold: 4,
         }
     } else {
         Setup {
@@ -64,8 +59,6 @@ fn setup(smoke: bool) -> Setup {
             pattern: "N8",
             split_total: 400_000.0,
             split_threshold: 50.0,
-            e2e_total: 4_000,
-            e2e_threshold: 5,
         }
     }
 }
@@ -206,54 +199,6 @@ fn main() {
         "[split] quantized session {quantized_ms:.1} ms ({quantized_speedup:.2}x vs pinned session), max prob diff {quantized_max_prob_diff:.2e}"
     );
 
-    // ---- end to end: a full dcgen run with the session disabled vs. on.
-    let mut patterns = PatternDistribution::new();
-    patterns.observe(pattern.clone());
-    let dc_config = DcGenConfig {
-        threshold: s.e2e_threshold,
-        seed: 9,
-        workers: 1,
-        ..DcGenConfig::new(s.e2e_total)
-    };
-    let started = Instant::now();
-    let uncached_run = DcGen::new(&model, dc_config.clone())
-        .run_with(
-            &patterns,
-            &DcGenOptions {
-                no_prefix_reuse: true,
-                ..DcGenOptions::default()
-            },
-        )
-        .expect("PagPassGPT kind");
-    let uncached_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let started = Instant::now();
-    let cached_run = DcGen::new(&model, dc_config)
-        .run(&patterns)
-        .expect("PagPassGPT kind");
-    let cached_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let outputs_identical = uncached_run.passwords == cached_run.passwords;
-    assert!(
-        outputs_identical,
-        "prefix reuse changed the generated passwords"
-    );
-    let e2e_speedup = uncached_ms / cached_ms;
-    let end_to_end = JsonValue::object([
-        ("total", s.e2e_total.into()),
-        ("threshold", s.e2e_threshold.into()),
-        ("emitted", cached_run.emitted.into()),
-        ("uncached_ms", uncached_ms.into()),
-        ("cached_ms", cached_ms.into()),
-        ("speedup", e2e_speedup.into()),
-        ("prefix_cache_hits", cached_run.prefix_cache_hits.into()),
-        ("outputs_identical", outputs_identical.into()),
-    ]);
-    eprintln!(
-        "[e2e] uncached {uncached_ms:.1} ms, cached {cached_ms:.1} ms ({e2e_speedup:.2}x), {} emitted, {} cache hits",
-        cached_run.emitted, cached_run.prefix_cache_hits
-    );
-
     let report = JsonValue::object([
         ("bench", "dcgen_inference".into()),
         ("mode", s.mode.into()),
@@ -261,7 +206,6 @@ fn main() {
         ("model_layers", s.config.n_layers.into()),
         ("pattern", s.pattern.into()),
         ("split_phase", split_phase),
-        ("end_to_end", end_to_end),
     ]);
     save_json(&format!("dcgen-inference-{}", s.mode), &report).expect("write bench result");
     print!("{}", report.to_pretty());

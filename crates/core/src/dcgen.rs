@@ -27,9 +27,6 @@ pub struct DcGenConfig {
     /// so single-worker runs are byte-reproducible — including across an
     /// interrupt/resume cycle.
     pub seed: u64,
-    /// Optional cap on how many top patterns receive budget; probabilities
-    /// are renormalized over the kept set.
-    pub max_patterns: Option<usize>,
     /// Ablation switch: allocate the budget uniformly across patterns
     /// instead of by their empirical probability.
     pub uniform_patterns: bool,
@@ -64,7 +61,6 @@ impl DcGenConfig {
             threshold: 256,
             temperature: 1.0,
             seed: 0,
-            max_patterns: None,
             uniform_patterns: false,
             workers: 1,
             max_task_retries: 2,
@@ -125,11 +121,6 @@ pub struct DcGenOptions<'a> {
     /// back to [`Telemetry::disabled`] — the run still counts into a silent
     /// registry, at the cost of a few relaxed atomics per task.
     pub telemetry: Option<&'a Telemetry>,
-    /// Disables cross-task KV-cache prefix reuse: workers reset their
-    /// inference session before every task and leaves prime per batch.
-    /// Output is byte-identical either way (reuse is bit-exact); this
-    /// exists so the paired bench can measure the uncached baseline.
-    pub no_prefix_reuse: bool,
 }
 
 impl std::fmt::Debug for DcGenOptions<'_> {
@@ -141,7 +132,6 @@ impl std::fmt::Debug for DcGenOptions<'_> {
             .field("fault", &self.fault)
             .field("sink", &self.sink.map(|_| "dyn PasswordSink"))
             .field("telemetry", &self.telemetry.is_some())
-            .field("no_prefix_reuse", &self.no_prefix_reuse)
             .finish()
     }
 }
@@ -316,13 +306,7 @@ impl<'a> DcGen<'a> {
                 expected: "PagPassGPT",
             });
         }
-        let ranked = {
-            let mut ranked = patterns.ranked();
-            if let Some(cap) = self.config.max_patterns {
-                ranked.truncate(cap);
-            }
-            ranked
-        };
+        let ranked = patterns.ranked();
         let mass: f64 = if self.config.uniform_patterns {
             ranked.len() as f64
         } else {
@@ -377,7 +361,6 @@ impl<'a> DcGen<'a> {
             threshold: journal.threshold,
             temperature: journal.temperature,
             seed: journal.seed,
-            max_patterns: None,
             uniform_patterns: false,
             workers: journal.workers,
             max_task_retries: journal.max_task_retries,
@@ -531,20 +514,6 @@ mod tests {
             .unwrap();
         assert!(r1.passwords.is_empty());
         assert!(r2.passwords.is_empty());
-    }
-
-    #[test]
-    fn max_patterns_caps_and_renormalizes() {
-        let model = tiny_model(ModelKind::PagPassGpt);
-        let config = DcGenConfig {
-            max_patterns: Some(1),
-            threshold: 1_000,
-            ..DcGenConfig::new(100)
-        };
-        let report = DcGen::new(&model, config).run(&simple_patterns()).unwrap();
-        assert_eq!(report.patterns_used, 1);
-        // All budget flows to the one pattern.
-        assert!(report.passwords.len() >= 80);
     }
 
     #[test]

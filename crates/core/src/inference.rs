@@ -29,8 +29,6 @@
 //! cache equals feeding the prefix to every row. The cached-vs-uncached
 //! tests in this module assert `==` on logits, not an epsilon.
 
-use std::sync::Arc;
-
 use pagpass_nn::{softmax_in_place, DecodeState, KernelMode, Mat, QuantizedGpt, Rng};
 use pagpass_patterns::Pattern;
 use pagpass_telemetry::{Counter, Histogram, Telemetry, LATENCY_MS_BOUNDS};
@@ -145,9 +143,8 @@ impl RulePrefix {
 pub struct InferenceSession<'m> {
     model: &'m PasswordModel,
     /// Pack-once int8 decode weights, present iff the session was built
-    /// under [`KernelMode::Quantized`]. Arc'd so [`fork`](Self::fork) and
-    /// batch priming share one pack instead of re-quantizing.
-    quant: Option<Arc<QuantizedGpt>>,
+    /// under [`KernelMode::Quantized`].
+    quant: Option<QuantizedGpt>,
     state: DecodeState,
     /// Tokens currently in the cache; `state.pos() == tokens.len()`.
     tokens: Vec<TokenId>,
@@ -188,8 +185,8 @@ impl<'m> InferenceSession<'m> {
     /// session decodes in bit-exact f32.
     #[must_use]
     pub fn with_telemetry(model: &'m PasswordModel, tel: &Telemetry) -> InferenceSession<'m> {
-        let quant = (pagpass_nn::kernel_mode() == KernelMode::Quantized)
-            .then(|| Arc::new(model.gpt().quantize()));
+        let quant =
+            (pagpass_nn::kernel_mode() == KernelMode::Quantized).then(|| model.gpt().quantize());
         InferenceSession {
             model,
             quant,
@@ -205,12 +202,6 @@ impl<'m> InferenceSession<'m> {
         }
     }
 
-    /// Number of tokens currently cached.
-    #[must_use]
-    pub fn cached_len(&self) -> usize {
-        self.tokens.len()
-    }
-
     /// KV positions this session served from cache instead of recomputing.
     #[must_use]
     pub fn reused_tokens(&self) -> u64 {
@@ -223,26 +214,8 @@ impl<'m> InferenceSession<'m> {
         self.computed
     }
 
-    /// An independent copy of this session (shared KV prefix, divergent
-    /// futures); the fork starts with fresh reuse statistics but feeds the
-    /// same telemetry counter.
-    #[must_use]
-    pub fn fork(&self) -> InferenceSession<'m> {
-        InferenceSession {
-            model: self.model,
-            quant: self.quant.clone(),
-            state: self.state.fork(),
-            tokens: self.tokens.clone(),
-            last_logits: self.last_logits.clone(),
-            reuse_counter: self.reuse_counter.clone(),
-            forward_ms: self.forward_ms.clone(),
-            reused: 0,
-            computed: 0,
-        }
-    }
-
     /// Drops all cached state; the next query recomputes its prompt from
-    /// scratch. (Used to measure the uncached baseline.)
+    /// scratch.
     pub fn reset(&mut self) {
         self.state.clear();
         self.tokens.clear();
@@ -254,7 +227,7 @@ impl<'m> InferenceSession<'m> {
         let logits =
             self.model
                 .gpt()
-                .decode_step_with(self.quant.as_deref(), &[tok], &mut self.state);
+                .decode_step_with(self.quant.as_ref(), &[tok], &mut self.state);
         self.last_logits.clear();
         self.last_logits.extend_from_slice(logits.row(0));
         self.tokens.push(tok);
@@ -289,12 +262,6 @@ impl<'m> InferenceSession<'m> {
         for &tok in &target[keep..] {
             self.feed(tok);
         }
-    }
-
-    /// Next-token logits for `target`, reusing the cached prefix.
-    pub(crate) fn logits_for(&mut self, target: &[TokenId]) -> &[f32] {
-        self.seek(target);
-        &self.last_logits
     }
 
     /// Next-token distribution over character ids given a pattern and a
@@ -386,10 +353,9 @@ impl<'m> InferenceSession<'m> {
             banned: model.banned_ids(),
             allowed_at: Box::new(|step| masks.get(step).map(Vec::as_slice)),
         };
-        let quant = self.quant.clone();
         let sequences = sample_batched_primed(
             model.gpt(),
-            quant.as_deref(),
+            self.quant.as_ref(),
             vocab,
             &plan,
             n,
@@ -520,10 +486,10 @@ impl<'m> InferenceSession<'m> {
                     .iter()
                     .map(|rule| rule.get(pos).copied().unwrap_or(Vocab::BOS))
                     .collect();
-                logits =
-                    self.model
-                        .gpt()
-                        .decode_step_with(self.quant.as_deref(), &tokens, &mut wide);
+                logits = self
+                    .model
+                    .gpt()
+                    .decode_step_with(self.quant.as_ref(), &tokens, &mut wide);
                 self.computed += b as u64;
             }
         }
@@ -709,27 +675,10 @@ mod tests {
     }
 
     #[test]
-    fn fork_answers_like_the_original() {
-        let model = tiny(ModelKind::PagPassGpt);
-        let pattern: Pattern = "L2N2".parse().unwrap();
-        let mut a = InferenceSession::new(&model);
-        let _ = a.next_char_distribution(&pattern, "q").unwrap();
-        let mut b = a.fork();
-        let da = a.next_char_distribution(&pattern, "qa").unwrap();
-        let db = b.next_char_distribution(&pattern, "qa").unwrap();
-        assert_eq!(da, db);
-        // Diverge: each fork follows its own lineage without interference.
-        let da2 = a.next_char_distribution(&pattern, "qb").unwrap();
-        let db2 = b.next_char_distribution(&pattern, "qc").unwrap();
-        assert_eq!(da2.0, db2.0);
-        assert_eq!(da2.1, reference_distribution(&model, &pattern, "qb").1);
-        assert_eq!(db2.1, reference_distribution(&model, &pattern, "qc").1);
-    }
-
-    #[test]
     fn session_leaf_matches_model_leaf() {
-        // generate_leaf through a warm session must equal the stateless
-        // call: same RNG stream, bit-identical logits, same passwords.
+        // generate_leaf through a warm session must equal the same call on
+        // a fresh one: same RNG stream, bit-identical logits, same
+        // passwords.
         let model = tiny(ModelKind::PagPassGpt);
         let pattern: Pattern = "L4N2".parse().unwrap();
         let mut session = InferenceSession::new(&model);
@@ -740,7 +689,7 @@ mod tests {
             .generate_leaf(&pattern, "ab", 150, 1.0, &mut rng_a)
             .unwrap();
         let mut rng_b = Rng::seed_from(7);
-        let b = model
+        let b = InferenceSession::new(&model)
             .generate_leaf(&pattern, "ab", 150, 1.0, &mut rng_b)
             .unwrap();
         assert_eq!(a, b);

@@ -48,7 +48,6 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 mod checkpoint;
 mod control;
 mod dcgen;
-mod enumerate;
 mod error;
 mod generate;
 mod inference;
@@ -62,7 +61,6 @@ mod trainer;
 pub use checkpoint::{TrainCheckpoint, TrainProgress};
 pub use control::{CancelToken, Deadline, FaultPlan};
 pub use dcgen::{DcGen, DcGenConfig, DcGenOptions, DcGenReport, FailedTask, PasswordSink};
-pub use enumerate::EnumerationReport;
 pub use error::CoreError;
 pub use inference::{InferenceSession, RulePrefix, FORWARD_MS_HISTOGRAM, PREFIX_REUSE_COUNTER};
 pub use journal::{DcGenJournal, JournalTask};
@@ -81,4 +79,16 @@ pub use trainer::{CheckpointPolicy, TrainConfig, TrainOptions, TrainingReport};
 /// its thread scope joins, which ends the run.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Extracts a printable message from a caught panic payload, for the
+/// generation pool's failed-task records and serve's failed responses.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "task panicked".to_string()
+    }
 }

@@ -191,6 +191,10 @@ impl PasswordModel {
     /// * PassGPT: starts from `<BOS>` and masks each step to the character
     ///   class the pattern requires at that position — the paper's
     ///   filtering approach, which causes word truncation.
+    ///
+    /// Non-conforming PagPassGPT outputs are kept, not rejected: the paper
+    /// evaluates the raw conditioned output, and its conformity is part of
+    /// what Fig. 8/9 measure.
     #[must_use]
     pub fn generate_guided(
         &self,
@@ -232,36 +236,6 @@ impl PasswordModel {
             .into_iter()
             .map(|ids| self.decode_generated(&ids))
             .collect()
-    }
-
-    /// Guided generation that *additionally* rejects non-conforming outputs
-    /// is intentionally not provided: the paper evaluates PagPassGPT's raw
-    /// conditioned output, and its conformity is part of what Fig. 8/9
-    /// measure.
-    ///
-    /// Continuation sampling for a D&C-GEN leaf: `n` passwords conforming
-    /// to `pattern` that start with `prefix_chars` (may be empty). Each
-    /// remaining position is masked to its pattern class, so all outputs
-    /// conform (D&C-GEN filters every division by the pattern requirement,
-    /// paper Fig. 7).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::PrefixTooLong`] if `prefix_chars` is longer
-    /// than the pattern and [`CoreError::Tokenize`] if it contains
-    /// characters outside the vocabulary.
-    pub fn generate_leaf(
-        &self,
-        pattern: &Pattern,
-        prefix_chars: &str,
-        n: usize,
-        temperature: f32,
-        rng: &mut Rng,
-    ) -> Result<Vec<String>, CoreError> {
-        // A transient session: still KV-primes the prompt once per leaf
-        // (instead of once per batch row); D&C-GEN workers hold a
-        // long-lived session instead to also reuse across tasks.
-        InferenceSession::new(self).generate_leaf(pattern, prefix_chars, n, temperature, rng)
     }
 
     /// Next-token distribution over character ids given a pattern and a
@@ -466,7 +440,7 @@ mod tests {
         let model = tiny(ModelKind::PagPassGpt);
         let pattern: Pattern = "L4N2".parse().unwrap();
         let mut rng = Rng::seed_from(2);
-        for pw in model
+        for pw in InferenceSession::new(&model)
             .generate_leaf(&pattern, "ab", 15, 1.0, &mut rng)
             .unwrap()
         {

@@ -22,7 +22,7 @@ use crate::dcgen::{DcGenConfig, DcGenOptions, DcGenReport, FailedTask};
 use crate::inference::InferenceSession;
 use crate::journal::{DcGenJournal, JournalTask};
 use crate::sched::{Acquire, AcquireCtx, Scheduler, Task};
-use crate::{lock, CoreError, PasswordModel};
+use crate::{lock, panic_message, CoreError, PasswordModel};
 
 /// Shared state of the worker pool, guarded by one mutex. Workers park on
 /// the companion condvar when the scheduler has nothing ready but
@@ -201,17 +201,6 @@ fn task_seed(seed: u64, id: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Extracts a printable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "task panicked".to_string()
-    }
-}
-
 /// Supervised worker pool: executes every task the scheduler hands out,
 /// committing splits and emissions back into it, until the scheduler
 /// reports done or a stop is requested.
@@ -355,10 +344,6 @@ pub(crate) fn run_pool(
 
                     // ---- execute outside the lock, inside a panic boundary.
                     let pattern = &pattern_list[task.pattern_idx];
-                    if opts.no_prefix_reuse {
-                        // Bench baseline: forget everything between tasks.
-                        session.reset();
-                    }
                     let reused_before = session.reused_tokens();
                     // DET: telemetry timing only; feeds a histogram, never
                     // the generation path.
@@ -374,25 +359,13 @@ pub(crate) fn run_pool(
                                     Vec::new()
                                 } else {
                                     let mut rng = Rng::seed_from(task_seed(config.seed, task.id));
-                                    if opts.no_prefix_reuse {
-                                        // Per-row prompt priming, as before
-                                        // the inference session existed.
-                                        model.generate_leaf(
-                                            pattern,
-                                            &task.prefix,
-                                            n,
-                                            config.temperature,
-                                            &mut rng,
-                                        )?
-                                    } else {
-                                        session.generate_leaf(
-                                            pattern,
-                                            &task.prefix,
-                                            n,
-                                            config.temperature,
-                                            &mut rng,
-                                        )?
-                                    }
+                                    session.generate_leaf(
+                                        pattern,
+                                        &task.prefix,
+                                        n,
+                                        config.temperature,
+                                        &mut rng,
+                                    )?
                                 };
                                 Ok(TaskOutput::Leaf(pwds))
                             } else {

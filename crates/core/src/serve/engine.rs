@@ -36,8 +36,8 @@ use pagpass_telemetry::{
 
 use crate::control::{CancelToken, Deadline, FaultPlan};
 use crate::inference::InferenceSession;
-use crate::lock;
 use crate::model::PasswordModel;
+use crate::{lock, panic_message};
 
 use super::queue::{AdmissionQueue, Pop};
 
@@ -535,17 +535,6 @@ fn score_wave(
                 }
             }
         }
-    }
-}
-
-/// Extracts a printable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "scoring task panicked".to_string()
     }
 }
 

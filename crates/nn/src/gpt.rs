@@ -213,14 +213,6 @@ impl DecodeState {
         self.pos = len;
     }
 
-    /// Returns an independent copy of this state. The fork and the
-    /// original can diverge freely; neither observes the other's
-    /// subsequent steps.
-    #[must_use]
-    pub fn fork(&self) -> DecodeState {
-        self.clone()
-    }
-
     /// Replicates a single-sequence state across `batch` parallel rows,
     /// bit-identically to feeding the same prefix to every row of a
     /// fresh batch-`batch` decode (see [`KvCache::broadcast`]).
@@ -733,7 +725,7 @@ mod tests {
         for &tok in &[4u32, 2] {
             let _ = model.decode_step(&[tok], &mut a);
         }
-        let mut b = a.fork();
+        let mut b = a.clone();
         let la = model.decode_step(&[9], &mut a);
         let lb = model.decode_step(&[7], &mut b);
         assert_eq!(a.pos(), 3);

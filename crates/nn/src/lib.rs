@@ -71,7 +71,6 @@ pub use pool::ThreadPool;
 pub use qmat::{set_force_portable, QMat, QBLOCK};
 pub use rng::Rng;
 pub use sampling::{
-    argmax, sample_categorical, sample_masked, sample_top_k, sample_top_p, softmax_in_place,
-    softmax_in_place_fast,
+    argmax, sample_categorical, sample_masked, softmax_in_place, softmax_in_place_fast,
 };
 pub use serialize::{atomic_write, crc32, LoadError};

@@ -138,65 +138,6 @@ pub fn sample_masked(
     sample_categorical(logits, temperature, rng)
 }
 
-/// Samples with top-`k` truncation: only the `k` highest logits stay
-/// eligible. `k == 0` (or `k >= len`) disables truncation.
-///
-/// # Panics
-///
-/// Panics on an empty slice or negative temperature.
-#[must_use]
-pub fn sample_top_k(logits: &mut [f32], k: usize, temperature: f32, rng: &mut Rng) -> usize {
-    assert!(!logits.is_empty(), "cannot sample from empty logits");
-    if k > 0 && k < logits.len() {
-        let mut sorted: Vec<f32> = logits.to_vec();
-        sorted.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-        let cutoff = sorted[k - 1];
-        for v in logits.iter_mut() {
-            if *v < cutoff {
-                *v = f32::NEG_INFINITY;
-            }
-        }
-    }
-    sample_categorical(logits, temperature, rng)
-}
-
-/// Nucleus (top-`p`) sampling: the smallest set of tokens whose cumulative
-/// probability reaches `p` stays eligible. `p >= 1.0` disables truncation.
-///
-/// # Panics
-///
-/// Panics on an empty slice, negative temperature, or `p <= 0`.
-#[must_use]
-pub fn sample_top_p(logits: &mut [f32], p: f32, temperature: f32, rng: &mut Rng) -> usize {
-    assert!(!logits.is_empty(), "cannot sample from empty logits");
-    assert!(p > 0.0, "nucleus mass must be positive");
-    if p < 1.0 {
-        let mut probs = logits.to_vec();
-        softmax_in_place(&mut probs);
-        let mut order: Vec<usize> = (0..probs.len()).collect();
-        order.sort_by(|&a, &b| {
-            probs[b]
-                .partial_cmp(&probs[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut cum = 0.0f32;
-        let mut keep = vec![false; probs.len()];
-        for &i in &order {
-            keep[i] = true;
-            cum += probs[i];
-            if cum >= p {
-                break;
-            }
-        }
-        for (v, &kept) in logits.iter_mut().zip(&keep) {
-            if !kept {
-                *v = f32::NEG_INFINITY;
-            }
-        }
-    }
-    sample_categorical(logits, temperature, rng)
-}
-
 /// Draws an index from an already-normalized probability vector.
 fn sample_from_probs(probs: &[f32], rng: &mut Rng) -> usize {
     let u = rng.uniform();
@@ -302,46 +243,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_logits_panic() {
         let _ = sample_categorical(&mut [], 1.0, &mut Rng::seed_from(0));
-    }
-
-    #[test]
-    fn top_k_restricts_to_the_k_best() {
-        let mut rng = Rng::seed_from(6);
-        for _ in 0..300 {
-            let mut logits = [0.0f32, 3.0, 2.0, 1.0, -1.0];
-            let got = sample_top_k(&mut logits, 2, 1.0, &mut rng);
-            assert!(got == 1 || got == 2, "got {got}");
-        }
-        // k = 0 disables truncation: all indices reachable.
-        let mut seen = [false; 3];
-        for _ in 0..500 {
-            let mut logits = [0.0f32; 3];
-            seen[sample_top_k(&mut logits, 0, 1.0, &mut rng)] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn top_p_keeps_the_nucleus() {
-        let mut rng = Rng::seed_from(7);
-        // Probabilities ~ [0.64, 0.23, 0.09, 0.03]; p=0.7 keeps first two.
-        for _ in 0..300 {
-            let mut logits = [4.0f32, 3.0, 2.0, 1.0];
-            let got = sample_top_p(&mut logits, 0.7, 1.0, &mut rng);
-            assert!(got <= 1, "got {got}");
-        }
-        // p = 1 keeps everything reachable.
-        let mut seen = [false; 3];
-        for _ in 0..500 {
-            let mut logits = [0.0f32; 3];
-            seen[sample_top_p(&mut logits, 1.0, 1.0, &mut rng)] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn top_p_zero_panics() {
-        let _ = sample_top_p(&mut [0.0], 0.0, 1.0, &mut Rng::seed_from(0));
     }
 }

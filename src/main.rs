@@ -13,7 +13,8 @@
 //!
 //! All subcommands read/write plain newline-separated password files.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -55,7 +56,7 @@ const USAGE: &str = "usage:
   pagpass generate --kind <passgpt|pagpassgpt> --model FILE --n N [--pattern P] [--temp T] [--seed S] [--out FILE]
   pagpass dcgen    --model FILE --corpus FILE --n N [--threshold T] [--seed S] [--out FILE]
                    [--workers N] [--retries N] [--deadline-secs N] [--checkpoint FILE] [--resume]
-                   [--no-prefix-reuse] [--scheduler <dcgen|sopg|sample>] [--frontier-cap N]
+                   [--scheduler <dcgen|sopg|sample>] [--frontier-cap N]
                    [--kernel <pinned|quantized>]
   pagpass eval     --guesses FILE --test FILE
   pagpass strength --kind <passgpt|pagpassgpt> --model FILE [--in FILE] [--precise]
@@ -64,8 +65,9 @@ const USAGE: &str = "usage:
                    [--batch-window-ms N] [--queue-cap N] [--sessions N] [--retries N]
                    [--deadline-ms N] [--http-port N] [--trace-sample N]
                    [--kernel <pinned|quantized>]
-  pagpass analyze  [--root DIR] [--allowlist FILE] [--deny-all] [--update-allowlist]
-                   [--lock-order FILE] [--update-lock-order]
+  pagpass analyze  [--root DIR] [--deny-all] [--lock-order FILE] [--update-lock-order]
+
+Each subcommand rejects flags it does not take (exit code 2).
 
 Telemetry (any subcommand):
   --log-format <text|json>   structured stderr records (default text)
@@ -181,10 +183,29 @@ impl TelemetrySetup {
 }
 
 /// Parsed `--flag value` pairs plus positional arguments.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Default)]
 struct Parsed {
-    flags: HashMap<String, String>,
+    flags: Flags,
     positional: Vec<String>,
+}
+
+/// `--flag value` pairs that remember every name a command looked up, so
+/// that [`Parsed::reject_unknown`] can refuse the flags it never reads.
+#[derive(Debug, Default)]
+struct Flags {
+    values: HashMap<String, String>,
+    read: RefCell<HashSet<String>>,
+}
+
+impl Flags {
+    fn get(&self, name: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(name.to_owned());
+        self.values.get(name).map(String::as_str)
+    }
+
+    fn contains_key(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
 }
 
 impl Parsed {
@@ -197,18 +218,19 @@ impl Parsed {
                     || name == "resume"
                     || name == "quiet"
                     || name == "deny-all"
-                    || name == "update-allowlist"
                     || name == "update-lock-order"
-                    || name == "no-prefix-reuse"
                     || name == "precise"
                 {
-                    parsed.flags.insert(name.to_owned(), "true".to_owned());
+                    parsed
+                        .flags
+                        .values
+                        .insert(name.to_owned(), "true".to_owned());
                     continue;
                 }
                 let value = iter
                     .next()
                     .ok_or_else(|| format!("--{name} needs a value"))?;
-                parsed.flags.insert(name.to_owned(), value.clone());
+                parsed.flags.values.insert(name.to_owned(), value.clone());
             } else {
                 parsed.positional.push(arg.clone());
             }
@@ -216,10 +238,28 @@ impl Parsed {
         Ok(parsed)
     }
 
+    /// Fails on a flag that nothing has read so far. Every subcommand
+    /// calls this once it has read all of its flags and before it does
+    /// any work, so a misspelled flag, or one another subcommand takes,
+    /// stops the run instead of being ignored.
+    fn reject_unknown(&self) -> Result<(), String> {
+        let read = self.flags.read.borrow();
+        let mut unknown: Vec<&String> = self
+            .flags
+            .values
+            .keys()
+            .filter(|name| !read.contains(*name))
+            .collect();
+        unknown.sort();
+        match unknown.first() {
+            Some(name) => Err(format!("unknown flag --{name}")),
+            None => Ok(()),
+        }
+    }
+
     fn required(&self, name: &str) -> Result<&str, String> {
         self.flags
             .get(name)
-            .map(String::as_str)
             .ok_or_else(|| format!("missing --{name}"))
     }
 
@@ -456,8 +496,11 @@ fn cmd_synth(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     let site = parse_site(p.required("site")?)?;
     let n: usize = p.num("n", 10_000)?;
     let seed: u64 = p.num("seed", 42)?;
+    let clean_leak = p.flags.contains_key("clean");
+    let out = p.flags.get("out");
+    p.reject_unknown()?;
     let mut leak = site.profile().generate(n, seed);
-    if p.flags.contains_key("clean") {
+    if clean_leak {
         let report = clean(leak);
         tel.summary(
             "synth.cleaned",
@@ -469,22 +512,24 @@ fn cmd_synth(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
         );
         leak = report.retained;
     }
-    write_lines(p.flags.get("out").map(String::as_str), &leak, tel)?;
+    write_lines(out, &leak, tel)?;
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_train(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     let kind = parse_kind(p.required("kind")?)?;
-    let corpus = read_lines(p.required("corpus")?)?;
+    let corpus_path = p.required("corpus")?;
     let out = p.required("out")?.to_owned();
     let epochs: usize = p.num("epochs", 4)?;
     let seed: u64 = p.num("seed", 1)?;
     let ckpt_path = p.flags.get("checkpoint").map(PathBuf::from);
     let every: u64 = p.num("checkpoint-every", 100)?;
     let resume = p.flags.contains_key("resume");
+    p.reject_unknown()?;
     if resume && ckpt_path.is_none() {
         return Err("--resume needs --checkpoint FILE".into());
     }
+    let corpus = read_lines(corpus_path)?;
     let cancel = CancelToken::new();
     install_sigint(&cancel, &tel.tel);
     let mut model = PasswordModel::new(kind, GptConfig::small(VOCAB_SIZE), seed);
@@ -566,11 +611,15 @@ fn cmd_train(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
 
 fn cmd_generate(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     let kind = parse_kind(p.required("kind")?)?;
-    let model = PasswordModel::load(kind, p.required("model")?).map_err(|e| e.to_string())?;
+    let model_path = p.required("model")?;
     let n: usize = p.num("n", 1_000)?;
     let temp: f32 = p.num("temp", 1.0)?;
     let seed: u64 = p.num("seed", 7)?;
-    let guesses = match p.flags.get("pattern") {
+    let pattern = p.flags.get("pattern");
+    let out = p.flags.get("out");
+    p.reject_unknown()?;
+    let model = PasswordModel::load(kind, model_path).map_err(|e| e.to_string())?;
+    let guesses = match pattern {
         Some(pat) => {
             let pattern: Pattern = pat
                 .parse()
@@ -579,13 +628,13 @@ fn cmd_generate(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
         }
         None => model.generate_free(n, temp, seed),
     };
-    write_lines(p.flags.get("out").map(String::as_str), &guesses, tel)?;
+    write_lines(out, &guesses, tel)?;
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
-    let model = PasswordModel::load(ModelKind::PagPassGpt, p.required("model")?)
-        .map_err(|e| e.to_string())?;
+    let model_path = p.required("model")?;
+    let corpus_path = p.flags.get("corpus");
     let n: u64 = p.num("n", 10_000)?;
     let threshold: u64 = p.num("threshold", 256)?;
     let seed: u64 = p.num("seed", 7)?;
@@ -604,10 +653,13 @@ fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     let kernel = parse_kernel(p)?;
     let journal_path = p.flags.get("checkpoint").map(PathBuf::from);
     let resume = p.flags.contains_key("resume");
+    let out = p.flags.get("out");
+    p.reject_unknown()?;
     if resume && journal_path.is_none() {
         return Err("--resume needs --checkpoint FILE".into());
     }
-    let out = p.flags.get("out").map(String::as_str);
+    let model =
+        PasswordModel::load(ModelKind::PagPassGpt, model_path).map_err(|e| e.to_string())?;
 
     let cancel = CancelToken::new();
     install_sigint(&cancel, &tel.tel);
@@ -649,7 +701,6 @@ fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
         fault: None,
         sink: sink.as_ref().map(|s| s as &dyn PasswordSink),
         telemetry: Some(tel.telemetry()),
-        no_prefix_reuse: p.flags.contains_key("no-prefix-reuse"),
     };
 
     // On resume the journal's scheduler runs, whatever the flag default was.
@@ -661,7 +712,7 @@ fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     let report = match &journal {
         Some(j) => DcGen::resume(&model, j, &opts).map_err(|e| e.to_string())?,
         None => {
-            let corpus = read_lines(p.required("corpus")?)?;
+            let corpus = read_lines(corpus_path.ok_or("missing --corpus")?)?;
             let patterns = PatternDistribution::from_passwords(corpus.iter().map(String::as_str));
             let config = DcGenConfig {
                 threshold,
@@ -761,49 +812,27 @@ fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
 
 /// `pagpass analyze`: run the static-analysis engine over the workspace.
 ///
-/// Exit codes: 0 clean, 1 findings (or stale allowlist entries), 2 usage.
+/// Exit codes: 0 clean, 1 findings, 2 usage.
 /// `--deny-all` (the CI entry point) also fails on warn-level lints.
 /// `--lock-order FILE` checks observed lock acquisitions against the
 /// committed canonical order; `--update-lock-order` regenerates it.
 fn cmd_analyze(p: &Parsed) -> Result<ExitCode, String> {
-    use pagpass::analysis::{analyze_repo, lockgraph, Allowlist};
+    use pagpass::analysis::{analyze_repo, lockgraph};
 
-    let root = PathBuf::from(p.flags.get("root").map_or(".", String::as_str));
-    let allowlist_path = p
+    let root = PathBuf::from(p.flags.get("root").unwrap_or("."));
+    let update_lock_order = p.flags.contains_key("update-lock-order");
+    let lock_order_path = p
         .flags
-        .get("allowlist")
-        .map_or_else(|| root.join("analysis/allowlist.txt"), PathBuf::from);
-    let lock_order_path = p.flags.get("lock-order").map(PathBuf::from).or_else(|| {
-        p.flags
-            .contains_key("update-lock-order")
-            .then(|| root.join("analysis/lock_order.txt"))
-    });
+        .get("lock-order")
+        .map(PathBuf::from)
+        .or_else(|| update_lock_order.then(|| root.join("analysis/lock_order.txt")));
     let deny_all = p.flags.contains_key("deny-all");
+    p.reject_unknown()?;
 
-    if p.flags.contains_key("update-allowlist") {
-        // Regenerate the allowlist from current findings: run with an
-        // empty allowlist and grandfather everything still firing.
-        let report = analyze_repo(&root, None, &Allowlist::default())?;
-        let keep: Vec<_> = report.findings.into_iter().map(|d| d.finding).collect();
-        let text = Allowlist::render(&keep);
-        if let Some(parent) = allowlist_path.parent() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("create {}: {e}", parent.display()))?;
-        }
-        atomic_write(&allowlist_path, text.as_bytes())
-            .map_err(|e| format!("write {}: {e}", allowlist_path.display()))?;
-        println!(
-            "wrote {} entr(ies) to {}",
-            keep.len(),
-            allowlist_path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    if p.flags.contains_key("update-lock-order") {
+    if update_lock_order {
         // Regenerate the canonical order from the observed graph. A
         // cyclic graph has no canonical order — fix the cycle first.
-        let report = analyze_repo(&root, None, &Allowlist::default())?;
+        let report = analyze_repo(&root, None)?;
         if report.lock_order.is_empty() {
             return Err("lock-order graph is cyclic (or no locks were observed); \
                  run `pagpass analyze` and fix lock-order-cycle findings first"
@@ -825,8 +854,7 @@ fn cmd_analyze(p: &Parsed) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let allowlist = Allowlist::load(&allowlist_path)?;
-    let report = analyze_repo(&root, lock_order_path.as_deref(), &allowlist)?;
+    let report = analyze_repo(&root, lock_order_path.as_deref())?;
     print!("{}", report.render(deny_all));
     if report.failed(deny_all) {
         Ok(ExitCode::FAILURE)
@@ -836,8 +864,11 @@ fn cmd_analyze(p: &Parsed) -> Result<ExitCode, String> {
 }
 
 fn cmd_eval(p: &Parsed) -> Result<ExitCode, String> {
-    let guesses = read_lines(p.required("guesses")?)?;
-    let test = read_lines(p.required("test")?)?;
+    let guesses_path = p.required("guesses")?;
+    let test_path = p.required("test")?;
+    p.reject_unknown()?;
+    let guesses = read_lines(guesses_path)?;
+    let test = read_lines(test_path)?;
     let hits = hit_rate(&guesses, &test);
     println!(
         "guesses: {} ({} unique, repeat rate {:.2}%)",
@@ -852,11 +883,15 @@ fn cmd_eval(p: &Parsed) -> Result<ExitCode, String> {
 
 fn cmd_strength(p: &Parsed) -> Result<ExitCode, String> {
     let kind = parse_kind(p.required("kind")?)?;
-    set_kernel_mode(parse_kernel(p)?.mode());
-    let model = PasswordModel::load(kind, p.required("model")?).map_err(|e| e.to_string())?;
+    let kernel = parse_kernel(p)?;
+    let model_path = p.required("model")?;
     let precise = p.flags.contains_key("precise");
+    let in_path = p.flags.get("in");
+    p.reject_unknown()?;
+    set_kernel_mode(kernel.mode());
+    let model = PasswordModel::load(kind, model_path).map_err(|e| e.to_string())?;
     let mut passwords = p.positional.clone();
-    if let Some(path) = p.flags.get("in") {
+    if let Some(path) = in_path {
         let from_file: Vec<String> = read_lines(path)?
             .into_iter()
             .filter(|line| !line.trim().is_empty())
@@ -897,9 +932,9 @@ fn cmd_strength(p: &Parsed) -> Result<ExitCode, String> {
 
 fn cmd_serve(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     let kind = parse_kind(p.required("kind")?)?;
-    set_kernel_mode(parse_kernel(p)?.mode());
-    let model = PasswordModel::load(kind, p.required("model")?).map_err(|e| e.to_string())?;
-    let addr = p.flags.get("addr").map_or("127.0.0.1:7687", String::as_str);
+    let kernel = parse_kernel(p)?;
+    let model_path = p.required("model")?;
+    let addr = p.flags.get("addr").unwrap_or("127.0.0.1:7687");
     let defaults = ServeConfig::default();
     let deadline_ms: u64 = p.num("deadline-ms", 0)?;
     let cfg = ServeConfig {
@@ -912,10 +947,13 @@ fn cmd_serve(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
         trace_sample: p.num("trace-sample", defaults.trace_sample)?,
         ..defaults
     };
+    let http_port: u16 = p.num("http-port", 0)?;
+    p.reject_unknown()?;
+    set_kernel_mode(kernel.mode());
+    let model = PasswordModel::load(kind, model_path).map_err(|e| e.to_string())?;
     let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     // The observability plane binds the same host as the scoring address.
-    let http_port: u16 = p.num("http-port", 0)?;
     let http_listener = if http_port > 0 {
         let http_addr = std::net::SocketAddr::new(local.ip(), http_port);
         let l =
@@ -1014,6 +1052,37 @@ mod tests {
     fn unknown_subcommand_errors() {
         assert!(run(&s(&["frobnicate"])).is_err());
         assert!(run(&s(&[])).is_err());
+    }
+
+    #[test]
+    fn flags_a_subcommand_does_not_read_are_rejected_before_any_work() {
+        let rejects = |cmdline: &str, flag: &str| {
+            let args: Vec<String> = cmdline.split_whitespace().map(str::to_owned).collect();
+            let err = run(&args).expect_err("an unread flag must fail the run");
+            assert_eq!(err, format!("unknown flag {flag}"), "{cmdline}");
+        };
+        // A misspelling is not taken for the flag it resembles, and the
+        // missing model file is never opened.
+        rejects(
+            "strength --kind pagpassgpt --model /nonexistent --kernal quantized pw1",
+            "--kernal",
+        );
+        // `generate` samples at `--temp`; `dcgen` has no such flag.
+        rejects(
+            "dcgen --model /nonexistent --corpus /nonexistent --temp 0.5",
+            "--temp",
+        );
+        // A removed boolean flag swallows `--out` as its value; the run
+        // stops instead of printing the guesses to stdout.
+        rejects(
+            "dcgen --model /nonexistent --corpus /nonexistent --no-prefix-reuse --out g.txt",
+            "--no-prefix-reuse",
+        );
+        // A flag of another subcommand is unknown here.
+        rejects(
+            "eval --guesses /nonexistent --test /nonexistent --seed 3",
+            "--seed",
+        );
     }
 
     #[test]
