@@ -241,7 +241,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn end_to_end_detection() {
+    fn end_to_end_with_allowlist() {
         let files = vec![
             (
                 "crates/a/src/lib.rs".to_string(),
@@ -256,12 +256,40 @@ mod tests {
         assert_eq!(report.findings.len(), 2);
         assert!(report.failed(false));
 
-        let clean = analyze_sources(
-            vec![("crates/a/src/lib.rs".to_string(), "fn ok() {}".to_string())],
-            &AnalysisInputs::default(),
-        );
+        // Allow the unwrap inline: only the println remains active.
+        let files = vec![(
+            "crates/a/src/lib.rs".to_string(),
+            "// LINT-ALLOW: no-unwrap-in-lib checked by the caller\nfn f() { x.unwrap(); }\nfn g() { println!(\"no\"); }"
+                .to_string(),
+        )];
+        let report = analyze_sources(files, &AnalysisInputs::default());
+        let active = report.active(false);
+        assert_eq!(active.len(), 1);
+        assert_eq!(active[0].lint, "no-stdout-in-lib");
+    }
+
+    #[test]
+    fn stale_entries_fail_the_run() {
+        let files = vec![("crates/a/src/lib.rs".to_string(), "fn ok() {}".to_string())];
+        let clean = analyze_sources(files.clone(), &AnalysisInputs::default());
         assert!(clean.findings.is_empty());
         assert!(!clean.failed(true));
+
+        // A lock-order entry that names no observed lock is stale.
+        let inputs = AnalysisInputs {
+            lock_order: Some(LockOrderFile {
+                path: "analysis/lock_order.txt".into(),
+                text: "nn:Pool.gone\n".into(),
+            }),
+            ..AnalysisInputs::default()
+        };
+        let report = analyze_sources(files, &inputs);
+        assert_eq!(report.findings.len(), 1);
+        assert_eq!(report.findings[0].path, "analysis/lock_order.txt");
+        assert!(report.failed(false));
+        assert!(report
+            .render(false)
+            .contains("no acquisition of it was observed"));
     }
 
     #[test]
