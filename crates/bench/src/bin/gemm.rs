@@ -1,22 +1,35 @@
-//! Paired GEMM benchmark — naive vs cache-blocked vs blocked+parallel.
+//! Paired GEMM benchmark — naive vs cache-blocked kernels, train step and
+//! int8 decode.
 //!
 //! Times the matrix kernels (the order-preserving `matmul_into`,
 //! `matmul_bt`, `matmul_t_accum` and the reassociating training kernels
 //! `matmul_fast`, `matmul_bt_packed`, `matmul_t_accum_fast`) and a full GPT
 //! train step under `KernelMode::Naive` (the pre-kernel-layer reference
-//! loops) and `KernelMode::Blocked` on explicit pools of 1, 2 and 4
-//! threads.
+//! loops) and `KernelMode::Blocked`, and a KV-cached decode loop on the
+//! pinned f32 and the int8 kernels.
 //!
-//! Equality is asserted, not trusted: every blocked arm must be
-//! bit-identical across thread counts, and the three order-preserving
-//! kernels must be bit-identical to naive. The training kernels
-//! reassociate their sums by design (that is where their speed comes
-//! from), so they are checked against naive to a relative tolerance
-//! instead; likewise the train-step arms assert the blocked run is bitwise
-//! deterministic and within tolerance of the naive trajectory.
+//! Everything runs on one GEMM thread, as perfbench does: on a shared host
+//! extra pool threads measure the host's spare cores, not the kernels.
+//! Thread-count invariance is `crates/nn/tests/gemm_equivalence.rs`'s job.
+//! Each pair of arms is timed interleaved (ABAB…): every round times a few
+//! repetitions of one arm, then of the other, and the gated ratio is the
+//! median of the per-round ratios. A slow spell of the host therefore
+//! lands on both arms of the rounds it covers, and the median drops the
+//! rounds it cuts through, instead of deciding the ratio. The rounds go
+//! round-robin over all pairs, so each pair's rounds span the whole run:
+//! on a shared host the speed of a SIMD kernel relative to a scalar loop
+//! itself shifts with the host's state for seconds at a time, and such a
+//! state then decides no ratio unless it lasts the whole run.
+//!
+//! Equality is asserted, not trusted: the three order-preserving kernels
+//! must be bit-identical to naive. The training kernels reassociate their
+//! sums by design (that is where their speed comes from), so they are
+//! checked against naive to a relative tolerance instead; likewise every
+//! blocked train-step run must be bitwise identical to the others and
+//! within tolerance of the naive trajectory.
 //!
 //! The JSON report carries a flat `speedups` map of dimensionless
-//! blocked-over-naive ratios — machine-relative numbers the `bench_gate`
+//! fast-over-reference ratios — machine-relative numbers the `bench_gate`
 //! binary compares against `crates/bench/bench_baseline.json` in CI.
 //!
 //! Run `cargo run --release -p pagpass-bench --bin gemm` for the full
@@ -24,33 +37,91 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 use pagpass_bench::save_json_str;
 use pagpass_nn::{
     pool, set_force_portable, set_kernel_mode, AdamW, Gpt, GptConfig, KernelMode, Mat,
-    QuantizedGpt, Rng, ThreadPool,
+    QuantizedGpt, Rng,
 };
 use pagpass_tokenizer::VOCAB_SIZE;
+
+/// Medians over the rounds of one pair of arms timed interleaved.
+struct Paired {
+    /// Median ms per repetition of the reference arm.
+    a_ms: f64,
+    /// Median ms per repetition of the measured arm.
+    b_ms: f64,
+    /// Median of the per-round ratios `a / b`: the gated speedup.
+    ratio: f64,
+}
+
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
+/// An arm: times one round of its work and returns ms per repetition.
+type Arm<'a> = Box<dyn FnMut() -> f64 + 'a>;
+
+/// A gated pair of arms: `a` the reference, `b` the arm measured against it.
+struct Pair<'a> {
+    a: Arm<'a>,
+    b: Arm<'a>,
+}
+
+/// An arm that times `reps` back-to-back calls of `run` under kernel `mode`.
+fn arm<'a, T>(mode: KernelMode, reps: usize, run: impl Fn() -> T + 'a) -> Arm<'a> {
+    Box::new(move || {
+        set_kernel_mode(mode);
+        let start = Instant::now();
+        for _ in 0..reps {
+            black_box(run());
+        }
+        ms(start) / reps as f64
+    })
+}
+
+/// Times every pair for `rounds` rounds, round-robin: each round runs each
+/// pair's `a` arm, then its `b` arm (ABAB…).
+fn interleaved(rounds: usize, pairs: &mut [Pair<'_>]) -> Vec<Paired> {
+    let mut samples: Vec<[Vec<f64>; 3]> = pairs.iter().map(|_| Default::default()).collect();
+    for _ in 0..rounds {
+        for (pair, [a_ms, b_ms, ratios]) in pairs.iter_mut().zip(&mut samples) {
+            let ta = (pair.a)();
+            let tb = (pair.b)();
+            a_ms.push(ta);
+            b_ms.push(tb);
+            ratios.push(ta / tb);
+        }
+    }
+    samples
+        .into_iter()
+        .map(|[mut a_ms, mut b_ms, mut ratios]| Paired {
+            a_ms: median(&mut a_ms),
+            b_ms: median(&mut b_ms),
+            ratio: median(&mut ratios),
+        })
+        .collect()
+}
 
 struct KernelTiming {
     kernel: &'static str,
     m: usize,
     k: usize,
     n: usize,
-    reps: usize,
     naive_ms: f64,
-    blocked_1t_ms: f64,
-    blocked_2t_ms: f64,
-    blocked_4t_ms: f64,
-    /// naive / blocked on a 1-thread pool: the single-core kernel win.
-    speedup_blocked: f64,
-    /// naive / blocked on a 4-thread pool.
-    speedup_4t: f64,
-    /// All blocked arms bit-identical across thread counts.
-    deterministic: bool,
+    blocked_ms: f64,
+    /// Median per-round naive / blocked.
+    speedup: f64,
     /// Blocked output bit-identical to the naive reference (false only for
-    /// the reassociating packed kernel, which is tolerance-checked instead).
+    /// the reassociating kernels, which are tolerance-checked instead).
     bit_compat_with_naive: bool,
 }
 
@@ -62,10 +133,8 @@ struct TrainStep {
     seq: usize,
     steps: usize,
     naive_ms: f64,
-    blocked_4t_ms: f64,
+    blocked_ms: f64,
     speedup: f64,
-    /// Two independent blocked runs produced bit-identical loss curves.
-    blocked_deterministic: bool,
     /// Max relative divergence between naive and blocked loss curves (the
     /// packed gradient kernel reassociates sums, so this is small but
     /// nonzero).
@@ -77,13 +146,10 @@ struct DecodeTiming {
     n_layers: usize,
     batch: usize,
     seq: usize,
-    reps: usize,
     pinned_ms: f64,
     quantized_ms: f64,
-    /// pinned / quantized: the `--kernel quantized` decode win.
+    /// Median per-round pinned / quantized: the `--kernel quantized` win.
     speedup: f64,
-    /// Quantized logits bit-identical under SIMD and portable dispatch.
-    dispatch_deterministic: bool,
     /// Max quantized-vs-pinned logit divergence relative to the largest
     /// logit magnitude (int8 quantization noise, bounded but nonzero).
     logits_max_rel_diff: f64,
@@ -92,11 +158,13 @@ struct DecodeTiming {
 struct Report {
     bench: &'static str,
     mode: &'static str,
-    pool_threads: usize,
+    gemm_threads: usize,
+    rounds: usize,
+    reps: usize,
     kernels: Vec<KernelTiming>,
     train_step: TrainStep,
     decode: DecodeTiming,
-    /// Dimensionless blocked-over-naive ratios, keyed for `bench_gate`.
+    /// Dimensionless fast-over-reference ratios, keyed for `bench_gate`.
     speedups: BTreeMap<String, f64>,
 }
 
@@ -107,23 +175,16 @@ struct Report {
 impl KernelTiming {
     fn json(&self) -> String {
         format!(
-            "{{ \"kernel\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"reps\": {},\n      \
-             \"naive_ms\": {:.3}, \"blocked_1t_ms\": {:.3}, \"blocked_2t_ms\": {:.3}, \
-             \"blocked_4t_ms\": {:.3},\n      \
-             \"speedup_blocked\": {:.3}, \"speedup_4t\": {:.3}, \
-             \"deterministic\": {}, \"bit_compat_with_naive\": {} }}",
+            "{{ \"kernel\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {},\n      \
+             \"naive_ms\": {:.4}, \"blocked_ms\": {:.4}, \"speedup\": {:.3}, \
+             \"bit_compat_with_naive\": {} }}",
             self.kernel,
             self.m,
             self.k,
             self.n,
-            self.reps,
             self.naive_ms,
-            self.blocked_1t_ms,
-            self.blocked_2t_ms,
-            self.blocked_4t_ms,
-            self.speedup_blocked,
-            self.speedup_4t,
-            self.deterministic,
+            self.blocked_ms,
+            self.speedup,
             self.bit_compat_with_naive
         )
     }
@@ -134,8 +195,8 @@ impl TrainStep {
         format!(
             "{{\n    \"dim\": {}, \"n_layers\": {}, \"n_heads\": {}, \"batch\": {}, \
              \"seq\": {}, \"steps\": {},\n    \
-             \"naive_ms\": {:.3}, \"blocked_4t_ms\": {:.3}, \"speedup\": {:.3},\n    \
-             \"blocked_deterministic\": {}, \"losses_max_rel_diff\": {:.3e}\n  }}",
+             \"naive_ms\": {:.3}, \"blocked_ms\": {:.3}, \"speedup\": {:.3},\n    \
+             \"losses_max_rel_diff\": {:.3e}\n  }}",
             self.dim,
             self.n_layers,
             self.n_heads,
@@ -143,9 +204,8 @@ impl TrainStep {
             self.seq,
             self.steps,
             self.naive_ms,
-            self.blocked_4t_ms,
+            self.blocked_ms,
             self.speedup,
-            self.blocked_deterministic,
             self.losses_max_rel_diff
         )
     }
@@ -154,18 +214,16 @@ impl TrainStep {
 impl DecodeTiming {
     fn json(&self) -> String {
         format!(
-            "{{\n    \"dim\": {}, \"n_layers\": {}, \"batch\": {}, \"seq\": {}, \"reps\": {},\n    \
-             \"pinned_ms\": {:.3}, \"quantized_ms\": {:.3}, \"speedup\": {:.3},\n    \
-             \"dispatch_deterministic\": {}, \"logits_max_rel_diff\": {:.3e}\n  }}",
+            "{{\n    \"dim\": {}, \"n_layers\": {}, \"batch\": {}, \"seq\": {},\n    \
+             \"pinned_ms\": {:.4}, \"quantized_ms\": {:.4}, \"speedup\": {:.3},\n    \
+             \"logits_max_rel_diff\": {:.3e}\n  }}",
             self.dim,
             self.n_layers,
             self.batch,
             self.seq,
-            self.reps,
             self.pinned_ms,
             self.quantized_ms,
             self.speedup,
-            self.dispatch_deterministic,
             self.logits_max_rel_diff
         )
     }
@@ -177,7 +235,12 @@ impl Report {
         out.push_str("{\n");
         let _ = writeln!(out, "  \"bench\": \"{}\",", self.bench);
         let _ = writeln!(out, "  \"mode\": \"{}\",", self.mode);
-        let _ = writeln!(out, "  \"pool_threads\": {},", self.pool_threads);
+        let _ = writeln!(out, "  \"gemm_threads\": {},", self.gemm_threads);
+        let _ = writeln!(
+            out,
+            "  \"rounds\": {}, \"reps\": {},",
+            self.rounds, self.reps
+        );
         out.push_str("  \"kernels\": [\n");
         for (i, kt) in self.kernels.iter().enumerate() {
             let sep = if i + 1 < self.kernels.len() { "," } else { "" };
@@ -200,7 +263,11 @@ struct Setup {
     mode: &'static str,
     /// (m, k, n) per kernel micro-benchmark.
     shape: (usize, usize, usize),
-    kernel_reps: usize,
+    /// Interleaved rounds of every pair.
+    rounds: usize,
+    /// Repetitions of a kernel or decode arm per round (a train-step arm
+    /// runs once: `train_steps` steps from a fresh model).
+    reps: usize,
     config: GptConfig,
     batch: usize,
     seq: usize,
@@ -212,7 +279,8 @@ fn setup(smoke: bool) -> Setup {
         Setup {
             mode: "smoke",
             shape: (64, 128, 128),
-            kernel_reps: 40,
+            rounds: 101,
+            reps: 3,
             config: GptConfig {
                 vocab_size: VOCAB_SIZE,
                 ctx_len: 32,
@@ -228,7 +296,8 @@ fn setup(smoke: bool) -> Setup {
         Setup {
             mode: "full",
             shape: (256, 384, 384),
-            kernel_reps: 60,
+            rounds: 21,
+            reps: 1,
             config: GptConfig {
                 vocab_size: VOCAB_SIZE,
                 ctx_len: 32,
@@ -257,108 +326,80 @@ fn max_rel_diff(a: &[f32], b: &[f32]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Times `reps` runs of one kernel arm; returns (total ms, last output).
-fn time_kernel(reps: usize, mut run: impl FnMut() -> Mat) -> (f64, Mat) {
-    let mut out = run(); // warmup, untimed
-    let start = Instant::now();
-    for _ in 0..reps {
-        out = run();
-    }
-    (ms(start), out)
+/// Largest elementwise gap between `want` and `got`, relative to the
+/// largest magnitude in `want`: elementwise relative error is meaningless
+/// where random sums cancel to near zero.
+fn scaled_drift(want: &Mat, got: &Mat) -> f64 {
+    let scale = want.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    want.as_slice()
+        .iter()
+        .zip(got.as_slice())
+        .map(|(&x, &y)| f64::from((x - y).abs() / scale))
+        .fold(0.0, f64::max)
 }
 
-fn bench_kernel(
-    kernel: &'static str,
-    shape: (usize, usize, usize),
-    reps: usize,
-    rng: &mut Rng,
-    pools: &[ThreadPool],
-) -> KernelTiming {
-    let (m, k, n) = shape;
-    // matmul_bt takes an n×k rhs; the other kernels consume k-leading
-    // operands.
-    let a = Mat::randn(m, k, 1.0, rng);
-    let b_kn = Mat::randn(k, n, 1.0, rng);
-    let b_nk = Mat::randn(n, k, 1.0, rng);
-    let x_mk = Mat::randn(m, k, 1.0, rng);
-    let dy_mn = Mat::randn(m, n, 1.0, rng);
+/// The operands the kernel micro-benchmarks draw from: `matmul_bt` takes
+/// an n×k rhs, the other kernels consume k-leading operands.
+struct Operands {
+    a: Mat,
+    b_kn: Mat,
+    b_nk: Mat,
+    x_mk: Mat,
+    dy_mn: Mat,
+}
 
-    let run_arm = |pool: Option<&ThreadPool>| -> (f64, Mat) {
-        match kernel {
-            "matmul_into" => time_kernel(reps, || {
-                let mut out = Mat::zeros(m, n);
-                match pool {
-                    None => a.matmul_into(&b_kn, &mut out),
-                    Some(p) => a.matmul_into_on(&b_kn, &mut out, p),
-                }
-                out
-            }),
-            "matmul_bt" => time_kernel(reps, || match pool {
-                None => a.matmul_bt(&b_nk),
-                Some(p) => a.matmul_bt_on(&b_nk, p),
-            }),
-            "matmul_bt_packed" => time_kernel(reps, || match pool {
-                None => a.matmul_bt_packed(&b_nk),
-                Some(p) => a.matmul_bt_packed_on(&b_nk, p),
-            }),
-            "matmul_fast" => time_kernel(reps, || match pool {
-                None => a.matmul_fast(&b_kn),
-                Some(p) => a.matmul_fast_on(&b_kn, p),
-            }),
-            "matmul_t_accum_fast" => time_kernel(reps, || {
-                let mut out = Mat::zeros(k, n);
-                match pool {
-                    None => x_mk.matmul_t_accum_fast(&dy_mn, &mut out),
-                    Some(p) => x_mk.matmul_t_accum_fast_on(&dy_mn, &mut out, p),
-                }
-                out
-            }),
-            "matmul_t_accum" => time_kernel(reps, || {
-                let mut out = Mat::zeros(k, n);
-                match pool {
-                    None => x_mk.matmul_t_accum(&dy_mn, &mut out),
-                    Some(p) => x_mk.matmul_t_accum_on(&dy_mn, &mut out, p),
-                }
-                out
-            }),
-            other => unreachable!("unknown kernel {other}"),
+impl Operands {
+    fn random((m, k, n): (usize, usize, usize), rng: &mut Rng) -> Operands {
+        Operands {
+            a: Mat::randn(m, k, 1.0, rng),
+            b_kn: Mat::randn(k, n, 1.0, rng),
+            b_nk: Mat::randn(n, k, 1.0, rng),
+            x_mk: Mat::randn(m, k, 1.0, rng),
+            dy_mn: Mat::randn(m, n, 1.0, rng),
         }
-    };
-
-    set_kernel_mode(KernelMode::Naive);
-    let (naive_ms, naive_out) = run_arm(None);
-    set_kernel_mode(KernelMode::Blocked);
-
-    let mut arm_ms = [0.0f64; 3];
-    let mut arm_outs = Vec::with_capacity(3);
-    for (slot, pool) in arm_ms.iter_mut().zip(pools) {
-        let (t, out) = run_arm(Some(pool));
-        *slot = t;
-        arm_outs.push(out);
     }
-    let deterministic = arm_outs.iter().all(|o| *o == arm_outs[0]);
-    assert!(
-        deterministic,
-        "{kernel}: blocked arms diverged across thread counts"
-    );
-    let bit_compat_with_naive = arm_outs[0] == naive_out;
+}
+
+/// One kernel call on the operands, dispatched by the global kernel mode.
+type Kernel = fn(&Operands) -> Mat;
+
+/// Each gated kernel by name.
+const KERNELS: [(&str, Kernel); 6] = [
+    ("matmul_into", |o| {
+        let mut out = Mat::zeros(o.a.rows(), o.b_kn.cols());
+        o.a.matmul_into(&o.b_kn, &mut out);
+        out
+    }),
+    ("matmul_bt", |o| o.a.matmul_bt(&o.b_nk)),
+    ("matmul_bt_packed", |o| o.a.matmul_bt_packed(&o.b_nk)),
+    ("matmul_fast", |o| o.a.matmul_fast(&o.b_kn)),
+    ("matmul_t_accum", |o| {
+        let mut out = Mat::zeros(o.x_mk.cols(), o.dy_mn.cols());
+        o.x_mk.matmul_t_accum(&o.dy_mn, &mut out);
+        out
+    }),
+    ("matmul_t_accum_fast", |o| {
+        let mut out = Mat::zeros(o.x_mk.cols(), o.dy_mn.cols());
+        o.x_mk.matmul_t_accum_fast(&o.dy_mn, &mut out);
+        out
+    }),
+];
+
+/// Runs `kernel` once under each mode and checks blocked against naive:
+/// bitwise for the order-preserving kernels, to a relative tolerance for
+/// the reassociating ones. Returns whether the two are bit-identical.
+fn check_kernel(kernel: &str, run: Kernel, o: &Operands) -> bool {
+    set_kernel_mode(KernelMode::Naive);
+    let naive_out = run(o);
+    set_kernel_mode(KernelMode::Blocked);
+    let blocked_out = run(o);
+    let bit_compat_with_naive = blocked_out == naive_out;
     let reassociating = matches!(
         kernel,
         "matmul_bt_packed" | "matmul_fast" | "matmul_t_accum_fast"
     );
     if reassociating {
-        // Normalize by the output's magnitude: elementwise relative error is
-        // meaningless where random sums cancel to near zero.
-        let scale = naive_out
-            .as_slice()
-            .iter()
-            .fold(0.0f32, |m, v| m.max(v.abs()));
-        let drift = naive_out
-            .as_slice()
-            .iter()
-            .zip(arm_outs[0].as_slice())
-            .map(|(&x, &y)| f64::from((x - y).abs() / scale))
-            .fold(0.0, f64::max);
+        let drift = scaled_drift(&naive_out, &blocked_out);
         assert!(
             drift < 1e-5,
             "{kernel}: reassociation drift {drift} too large"
@@ -369,27 +410,7 @@ fn bench_kernel(
             "{kernel}: blocked output diverged from naive"
         );
     }
-
-    eprintln!(
-        "[gemm] {kernel:<16} {m}x{k}x{n}: naive {naive_ms:>8.1}ms  blocked(1t) {:>8.1}ms  \
-         (2t) {:>8.1}ms  (4t) {:>8.1}ms",
-        arm_ms[0], arm_ms[1], arm_ms[2]
-    );
-    KernelTiming {
-        kernel,
-        m,
-        k,
-        n,
-        reps,
-        naive_ms,
-        blocked_1t_ms: arm_ms[0],
-        blocked_2t_ms: arm_ms[1],
-        blocked_4t_ms: arm_ms[2],
-        speedup_blocked: naive_ms / arm_ms[0],
-        speedup_4t: naive_ms / arm_ms[2],
-        deterministic,
-        bit_compat_with_naive,
-    }
+    bit_compat_with_naive
 }
 
 /// Runs `steps` optimizer steps from a fresh deterministic model; returns
@@ -406,169 +427,217 @@ fn run_training(s: &Setup, mode: KernelMode) -> (f64, Vec<f32>) {
                 .collect()
         })
         .collect();
-    // Warmup one untimed step so page faults and allocator growth are paid
-    // before the clock starts.
-    let mut warm = Gpt::new(s.config, &mut Rng::seed_from(5));
-    let _ = warm.train_step(&batches[0], s.batch, s.seq, None, &mut AdamW::new(3e-4));
-
     let start = Instant::now();
     let losses = batches
         .iter()
         .map(|tokens| model.train_step(tokens, s.batch, s.seq, None, &mut opt))
         .collect();
-    let wall = ms(start);
-    set_kernel_mode(KernelMode::Blocked);
-    (wall, losses)
+    (ms(start), losses)
 }
 
-/// Times a KV-cached decode loop under the pinned blocked f32 kernels and
+/// A KV-cached decode loop, run under the pinned blocked f32 kernels and
 /// under the packed int8 kernels (`decode_quantized_vs_pinned` in the
-/// gated speedups). The pack itself (`Gpt::quantize`) runs untimed: it is
-/// the once-per-session cost an `InferenceSession` pays at build, not a
-/// per-token cost. The quantized arm must be bitwise identical under SIMD
-/// and portable dispatch, and its logits must sit within int8 noise of the
-/// pinned logits.
-fn bench_decode(s: &Setup) -> DecodeTiming {
-    set_kernel_mode(KernelMode::Blocked);
-    let gpt = Gpt::new(s.config, &mut Rng::seed_from(5));
-    let mut data_rng = Rng::seed_from(23);
-    let steps: Vec<Vec<u32>> = (0..s.seq)
-        .map(|_| {
-            (0..s.batch)
-                .map(|_| data_rng.below(s.config.vocab_size) as u32)
-                .collect()
-        })
-        .collect();
-    let q = gpt.quantize();
+/// gated speedups). The pack itself (`Gpt::quantize`) is built once,
+/// untimed: it is the once-per-session cost an `InferenceSession` pays at
+/// build, not a per-token cost.
+struct Decode {
+    gpt: Gpt,
+    q: QuantizedGpt,
+    steps: Vec<Vec<u32>>,
+    batch: usize,
+}
 
-    let run = |quant: Option<&QuantizedGpt>| -> Mat {
-        let mut state = gpt.begin_decode(s.batch);
+impl Decode {
+    fn new(s: &Setup) -> Decode {
+        set_kernel_mode(KernelMode::Blocked);
+        let gpt = Gpt::new(s.config, &mut Rng::seed_from(5));
+        let mut data_rng = Rng::seed_from(23);
+        let steps = (0..s.seq)
+            .map(|_| {
+                (0..s.batch)
+                    .map(|_| data_rng.below(s.config.vocab_size) as u32)
+                    .collect()
+            })
+            .collect();
+        let q = gpt.quantize();
+        Decode {
+            gpt,
+            q,
+            steps,
+            batch: s.batch,
+        }
+    }
+
+    fn run(&self, quant: Option<&QuantizedGpt>) -> Mat {
+        let mut state = self.gpt.begin_decode(self.batch);
         let mut logits = None;
-        for tokens in &steps {
-            logits = Some(gpt.decode_step_with(quant, tokens, &mut state));
+        for tokens in &self.steps {
+            logits = Some(self.gpt.decode_step_with(quant, tokens, &mut state));
         }
         logits.expect("at least one decode step")
-    };
+    }
 
-    let (pinned_ms, pinned_logits) = time_kernel(s.kernel_reps, || run(None));
-    let (quantized_ms, quant_logits) = time_kernel(s.kernel_reps, || run(Some(&q)));
-
-    set_force_portable(true);
-    let portable_logits = run(Some(&q));
-    set_force_portable(false);
-    let dispatch_deterministic = portable_logits == quant_logits;
-    assert!(
-        dispatch_deterministic,
-        "quantized decode diverged between SIMD and portable dispatch"
-    );
-
-    let scale = pinned_logits
-        .as_slice()
-        .iter()
-        .fold(0.0f32, |m, v| m.max(v.abs()));
-    let logits_max_rel_diff = pinned_logits
-        .as_slice()
-        .iter()
-        .zip(quant_logits.as_slice())
-        .map(|(&x, &y)| f64::from((x - y).abs() / scale))
-        .fold(0.0, f64::max);
-    assert!(
-        logits_max_rel_diff < 0.05,
-        "quantized logits drifted {logits_max_rel_diff} from pinned — \
-         beyond int8 noise, a kernel bug"
-    );
-
-    let timing = DecodeTiming {
-        dim: s.config.dim,
-        n_layers: s.config.n_layers,
-        batch: s.batch,
-        seq: s.seq,
-        reps: s.kernel_reps,
-        pinned_ms,
-        quantized_ms,
-        speedup: pinned_ms / quantized_ms,
-        dispatch_deterministic,
-        logits_max_rel_diff,
-    };
-    eprintln!(
-        "[gemm] decode dim={} batch={}x{}: pinned {pinned_ms:.1}ms  quantized \
-         {quantized_ms:.1}ms  speedup {:.2}x  logit drift {logits_max_rel_diff:.2e}",
-        s.config.dim, s.batch, s.seq, timing.speedup
-    );
-    timing
+    /// Checks that the quantized logits are bitwise identical under SIMD
+    /// and portable dispatch and sit within int8 noise of the pinned ones;
+    /// returns their largest divergence relative to the largest logit.
+    fn check(&self) -> f64 {
+        set_kernel_mode(KernelMode::Blocked);
+        let pinned_logits = self.run(None);
+        let quant_logits = self.run(Some(&self.q));
+        set_force_portable(true);
+        let portable_logits = self.run(Some(&self.q));
+        set_force_portable(false);
+        assert!(
+            portable_logits == quant_logits,
+            "quantized decode diverged between SIMD and portable dispatch"
+        );
+        let logits_max_rel_diff = scaled_drift(&pinned_logits, &quant_logits);
+        assert!(
+            logits_max_rel_diff < 0.05,
+            "quantized logits drifted {logits_max_rel_diff} from pinned — \
+             beyond int8 noise, a kernel bug"
+        );
+        logits_max_rel_diff
+    }
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let s = setup(smoke);
-    let pool_threads = pool::configure(4);
-    eprintln!("[gemm] mode={} global pool={pool_threads} threads", s.mode);
-
-    let pools = [ThreadPool::new(1), ThreadPool::new(2), ThreadPool::new(4)];
-    let mut rng = Rng::seed_from(9);
-    let kernels: Vec<KernelTiming> = [
-        "matmul_into",
-        "matmul_bt",
-        "matmul_bt_packed",
-        "matmul_fast",
-        "matmul_t_accum",
-        "matmul_t_accum_fast",
-    ]
-    .into_iter()
-    .map(|k| bench_kernel(k, s.shape, s.kernel_reps, &mut rng, &pools))
-    .collect();
-
+    let gemm_threads = pool::configure(1);
     eprintln!(
-        "[gemm] train step: dim={} layers={} batch={}x{} steps={}",
-        s.config.dim, s.config.n_layers, s.batch, s.seq, s.train_steps
+        "[gemm] mode={} gemm threads={gemm_threads} rounds={} reps={}",
+        s.mode, s.rounds, s.reps
     );
-    let (naive_ms, naive_losses) = run_training(&s, KernelMode::Naive);
-    let (blocked_ms, blocked_losses) = run_training(&s, KernelMode::Blocked);
-    let (_, blocked_again) = run_training(&s, KernelMode::Blocked);
-    let blocked_deterministic = blocked_losses == blocked_again;
+
+    let mut rng = Rng::seed_from(9);
+    let operands: Vec<Operands> = KERNELS
+        .iter()
+        .map(|_| Operands::random(s.shape, &mut rng))
+        .collect();
+    let bit_compat: Vec<bool> = KERNELS
+        .iter()
+        .zip(&operands)
+        .map(|(&(kernel, run), o)| check_kernel(kernel, run, o))
+        .collect();
+    let decode = Decode::new(&s);
+    let logits_max_rel_diff = decode.check();
+
+    let mut naive_losses = Vec::new();
+    let mut blocked_runs = Vec::with_capacity(s.rounds);
+    let timings = {
+        let mut pairs: Vec<Pair> = KERNELS
+            .iter()
+            .zip(&operands)
+            .map(|(&(_, run), o)| Pair {
+                a: arm(KernelMode::Naive, s.reps, move || run(o)),
+                b: arm(KernelMode::Blocked, s.reps, move || run(o)),
+            })
+            .collect();
+        pairs.push(Pair {
+            a: Box::new(|| {
+                let (wall, losses) = run_training(&s, KernelMode::Naive);
+                naive_losses = losses;
+                wall
+            }),
+            b: Box::new(|| {
+                let (wall, losses) = run_training(&s, KernelMode::Blocked);
+                blocked_runs.push(losses);
+                wall
+            }),
+        });
+        pairs.push(Pair {
+            a: arm(KernelMode::Blocked, s.reps, || decode.run(None)),
+            b: arm(KernelMode::Blocked, s.reps, || decode.run(Some(&decode.q))),
+        });
+        interleaved(s.rounds, &mut pairs)
+    };
+
+    let (m, k, n) = s.shape;
+    let kernels: Vec<KernelTiming> = KERNELS
+        .iter()
+        .zip(&timings)
+        .zip(bit_compat)
+        .map(|((&(kernel, _), t), bit_compat_with_naive)| {
+            eprintln!(
+                "[gemm] {kernel:<20} {m}x{k}x{n}: naive {:>8.4}ms  blocked {:>8.4}ms  \
+                 speedup {:.3}x",
+                t.a_ms, t.b_ms, t.ratio
+            );
+            KernelTiming {
+                kernel,
+                m,
+                k,
+                n,
+                naive_ms: t.a_ms,
+                blocked_ms: t.b_ms,
+                speedup: t.ratio,
+                bit_compat_with_naive,
+            }
+        })
+        .collect();
+
+    let t = &timings[KERNELS.len()];
     assert!(
-        blocked_deterministic,
-        "blocked training is non-deterministic: {blocked_losses:?} vs {blocked_again:?}"
+        blocked_runs.iter().all(|l| *l == blocked_runs[0]),
+        "blocked training is non-deterministic: {blocked_runs:?}"
     );
-    let losses_max_rel_diff = max_rel_diff(&naive_losses, &blocked_losses);
+    let losses_max_rel_diff = max_rel_diff(&naive_losses, &blocked_runs[0]);
     assert!(
         losses_max_rel_diff < 5e-3,
-        "train-step losses drifted: naive {naive_losses:?} vs blocked {blocked_losses:?}"
+        "train-step losses drifted: naive {naive_losses:?} vs blocked {:?}",
+        blocked_runs[0]
     );
-    let train = TrainStep {
+    eprintln!(
+        "[gemm] train step: dim={} layers={} batch={}x{} steps={}: naive {:.1}ms  \
+         blocked {:.1}ms  speedup {:.3}x  loss drift {losses_max_rel_diff:.2e}",
+        s.config.dim, s.config.n_layers, s.batch, s.seq, s.train_steps, t.a_ms, t.b_ms, t.ratio
+    );
+    let train_step = TrainStep {
         dim: s.config.dim,
         n_layers: s.config.n_layers,
         n_heads: s.config.n_heads,
         batch: s.batch,
         seq: s.seq,
         steps: s.train_steps,
-        naive_ms,
-        blocked_4t_ms: blocked_ms,
-        speedup: naive_ms / blocked_ms,
-        blocked_deterministic,
+        naive_ms: t.a_ms,
+        blocked_ms: t.b_ms,
+        speedup: t.ratio,
         losses_max_rel_diff,
     };
-    eprintln!(
-        "[gemm] train step: naive {naive_ms:.1}ms  blocked(4t pool) {blocked_ms:.1}ms  \
-         speedup {:.2}x  loss drift {losses_max_rel_diff:.2e}",
-        train.speedup
-    );
 
-    let decode = bench_decode(&s);
+    let t = &timings[KERNELS.len() + 1];
+    eprintln!(
+        "[gemm] decode dim={} batch={}x{}: pinned {:.4}ms  quantized {:.4}ms  \
+         speedup {:.3}x  logit drift {logits_max_rel_diff:.2e}",
+        s.config.dim, s.batch, s.seq, t.a_ms, t.b_ms, t.ratio
+    );
+    let decode = DecodeTiming {
+        dim: s.config.dim,
+        n_layers: s.config.n_layers,
+        batch: s.batch,
+        seq: s.seq,
+        pinned_ms: t.a_ms,
+        quantized_ms: t.b_ms,
+        speedup: t.ratio,
+        logits_max_rel_diff,
+    };
 
     let mut speedups = BTreeMap::new();
     for kt in &kernels {
-        speedups.insert(kt.kernel.to_string(), kt.speedup_blocked);
+        speedups.insert(kt.kernel.to_string(), kt.speedup);
     }
-    speedups.insert("train_step".to_string(), train.speedup);
+    speedups.insert("train_step".to_string(), train_step.speedup);
     speedups.insert("decode_quantized_vs_pinned".to_string(), decode.speedup);
 
     let report = Report {
         bench: "gemm",
         mode: s.mode,
-        pool_threads,
+        gemm_threads,
+        rounds: s.rounds,
+        reps: s.reps,
         kernels,
-        train_step: train,
+        train_step,
         decode,
         speedups,
     };

@@ -79,11 +79,9 @@ impl CancelToken {
 ///
 /// let d = Deadline::after(Duration::from_secs(3600));
 /// assert!(!d.expired());
-/// assert!(d.remaining() > Duration::from_secs(3500));
 ///
 /// let past = Deadline::after(Duration::ZERO);
 /// assert!(past.expired());
-/// assert_eq!(past.remaining(), Duration::ZERO);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Deadline {
@@ -103,12 +101,6 @@ impl Deadline {
     #[must_use]
     pub fn expired(&self) -> bool {
         Instant::now() >= self.at
-    }
-
-    /// Time left before expiry; `Duration::ZERO` once expired.
-    #[must_use]
-    pub fn remaining(&self) -> Duration {
-        self.at.saturating_duration_since(Instant::now())
     }
 
     /// The earlier of two deadlines — e.g. a per-request deadline capped
@@ -242,18 +234,15 @@ mod tests {
     fn deadline_is_fixed_at_construction() {
         let d = Deadline::after(Duration::from_secs(600));
         assert!(!d.expired());
-        let r1 = d.remaining();
-        let r2 = d.remaining();
-        // Remaining time only shrinks; the target instant never moves.
-        assert!(r2 <= r1);
-        assert!(r1 <= Duration::from_secs(600));
+        // The target instant is taken once: one built later from the same
+        // budget is no earlier.
+        assert!(d <= Deadline::after(Duration::from_secs(600)));
     }
 
     #[test]
     fn zero_budget_deadline_is_immediately_expired() {
         let d = Deadline::after(Duration::ZERO);
         assert!(d.expired());
-        assert_eq!(d.remaining(), Duration::ZERO);
     }
 
     #[test]

@@ -301,8 +301,6 @@ impl Drop for ScoreRequest {
 pub(crate) struct EngineConfig {
     /// Hard ceiling on requests per forward (degraded mode only shrinks).
     pub max_batch: usize,
-    /// How long a wave waits to fill after its first request arrives.
-    pub batch_window: Duration,
     /// Singleton panic re-scores before a request is declared poisoned.
     pub retries: u32,
     /// Consecutive deadline-miss waves before the batch ceiling halves.
@@ -392,7 +390,9 @@ impl DegradeState {
 }
 
 /// One worker: pulls waves off the queue until it closes and is drained,
-/// scoring each wave in a single batched forward on its own session.
+/// scoring each wave in a single batched forward on its own session. The
+/// worker is work-conserving: it blocks only for a wave's first request,
+/// then takes what is already queued and scores at once.
 ///
 /// This function never panics outward: scoring panics are contained by
 /// [`score_wave`] and turned into per-request [`ScoreOutcome::Failed`]s.
@@ -414,19 +414,19 @@ pub(crate) fn worker_loop(
         };
         first.note_dequeued();
         // Batch assembly: first pop → sheds applied and the wave grouped.
+        // The wave is the first request plus whatever is already queued, up
+        // to the ceiling; nothing waits for it to fill. Under load requests
+        // queue while the previous wave computes, so waves still fill.
         let assembly_started = Instant::now();
         let assembly_wall_ms = wall_clock_ms();
         let mut wave = vec![first];
         let ceiling = degrade.effective_max();
-        let window_ends = Deadline::after(cfg.batch_window);
-        while wave.len() < ceiling && !window_ends.expired() {
-            match queue.pop_timeout(window_ends.remaining()) {
-                Pop::Item(r) => {
-                    r.note_dequeued();
-                    wave.push(r);
-                }
-                Pop::TimedOut | Pop::Closed => break,
-            }
+        while wave.len() < ceiling {
+            let Pop::Item(r) = queue.try_pop() else {
+                break;
+            };
+            r.note_dequeued();
+            wave.push(r);
         }
         metrics.queue_depth.set(queue.len() as f64);
 
@@ -572,7 +572,6 @@ mod tests {
     fn cfg() -> EngineConfig {
         EngineConfig {
             max_batch: 8,
-            batch_window: Duration::from_millis(20),
             retries: 2,
             degrade_after: 3,
             recover_after: 8,
@@ -662,6 +661,38 @@ mod tests {
         assert_eq!(metrics.shed.get(), 0);
         assert_eq!(metrics.failed.get(), 0);
         assert_eq!(metrics.lost.get(), 0);
+    }
+
+    #[test]
+    fn requests_queued_before_the_worker_starts_share_one_wave() {
+        let model = tiny();
+        let pws = ["hello123", "Pass123$", "abc12345", "qwerty99", "zxcvbn12"];
+        let (got, metrics) = run_engine(&model, &cfg(), None, |m, o| {
+            pws.iter()
+                .enumerate()
+                .map(|(i, pw)| (request(i as u64, pw, m, o), Priority::Normal))
+                .collect()
+        });
+        assert_eq!(got.len(), pws.len());
+        assert_eq!(metrics.completed.get(), pws.len() as u64);
+        assert_eq!(metrics.occupancy.count(), 1, "one wave");
+        assert_eq!(metrics.forward_ms.count(), 1, "one forward");
+    }
+
+    #[test]
+    fn a_backlog_past_the_ceiling_splits_at_the_ceiling() {
+        let model = tiny();
+        let (got, metrics) = run_engine(&model, &cfg(), None, |m, o| {
+            (0..12u64)
+                .map(|i| (request(i, &format!("pw{i:03}x"), m, o), Priority::Normal))
+                .collect()
+        });
+        assert_eq!(got.len(), 12);
+        // max_batch 8: one wave of 8, then one of the remaining 4.
+        assert_eq!(metrics.occupancy.count(), 2);
+        assert_eq!(metrics.forward_ms.count(), 2);
+        let first_wave: Vec<u64> = got[..8].iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(first_wave, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -771,7 +802,6 @@ mod tests {
     fn degrade_state_halves_on_miss_streaks_and_recovers() {
         let cfg = EngineConfig {
             max_batch: 8,
-            batch_window: Duration::ZERO,
             retries: 0,
             degrade_after: 2,
             recover_after: 3,

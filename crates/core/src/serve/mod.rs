@@ -68,8 +68,6 @@ pub use engine::{ScoreOutcome, ShedReason};
 pub struct ServeConfig {
     /// Hard ceiling on requests batched into one forward.
     pub max_batch: usize,
-    /// How long a wave waits to fill after its first request.
-    pub batch_window: Duration,
     /// Admission queue capacity; beyond it requests are rejected.
     pub queue_cap: usize,
     /// Scoring worker threads, each owning one inference session.
@@ -93,7 +91,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             max_batch: 16,
-            batch_window: Duration::from_millis(2),
             queue_cap: 256,
             sessions: 2,
             retries: 2,
@@ -199,7 +196,6 @@ pub fn run_with_listeners(
     metrics.effective_max_batch.set(cfg.max_batch.max(1) as f64);
     let engine_cfg = EngineConfig {
         max_batch: cfg.max_batch,
-        batch_window: cfg.batch_window,
         retries: cfg.retries,
         degrade_after: cfg.degrade_after,
         recover_after: cfg.recover_after,

@@ -117,9 +117,9 @@ impl<T> AdmissionQueue<T> {
         Ok(())
     }
 
-    /// Pops the next item without waiting (equivalent to a zero-budget
-    /// [`pop_timeout`](Self::pop_timeout); kept for test readability).
-    #[cfg(test)]
+    /// Pops the next item without waiting: [`Pop::TimedOut`] when the open
+    /// queue is empty. Workers fill a wave with it from what is already
+    /// queued.
     pub fn try_pop(&self) -> Pop<T> {
         let mut lanes = lock(&self.lanes);
         match lanes.take() {

@@ -62,8 +62,8 @@ const USAGE: &str = "usage:
   pagpass strength --kind <passgpt|pagpassgpt> --model FILE [--in FILE] [--precise]
                    [--kernel <pinned|quantized>] [PASSWORD...]
   pagpass serve    --kind <passgpt|pagpassgpt> --model FILE [--addr HOST:PORT] [--max-batch N]
-                   [--batch-window-ms N] [--queue-cap N] [--sessions N] [--retries N]
-                   [--deadline-ms N] [--http-port N] [--trace-sample N]
+                   [--queue-cap N] [--sessions N] [--retries N] [--deadline-ms N]
+                   [--http-port N] [--trace-sample N]
                    [--kernel <pinned|quantized>]
   pagpass analyze  [--root DIR] [--deny-all] [--lock-order FILE] [--update-lock-order]
 
@@ -939,7 +939,6 @@ fn cmd_serve(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     let deadline_ms: u64 = p.num("deadline-ms", 0)?;
     let cfg = ServeConfig {
         max_batch: p.num("max-batch", defaults.max_batch)?,
-        batch_window: Duration::from_millis(p.num("batch-window-ms", 2)?),
         queue_cap: p.num("queue-cap", defaults.queue_cap)?,
         sessions: p.num("sessions", defaults.sessions)?,
         retries: p.num("retries", defaults.retries)?,
