@@ -159,7 +159,7 @@ fn main() {
         );
     }
     let quantized_ms = started.elapsed().as_secs_f64() * 1e3;
-    set_kernel_mode(KernelMode::Blocked);
+    set_kernel_mode(KernelMode::Pinned);
     let quantized_max_prob_diff = cached
         .iter()
         .zip(&quantized)

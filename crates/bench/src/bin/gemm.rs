@@ -1,12 +1,12 @@
-//! Paired GEMM benchmark — naive vs cache-blocked kernels, train step and
+//! Paired GEMM benchmark — reference loops vs cache-blocked kernels, and
 //! int8 decode.
 //!
-//! Times the matrix kernels (the order-preserving `matmul_into`,
-//! `matmul_bt`, `matmul_t_accum` and the reassociating training kernels
-//! `matmul_fast`, `matmul_bt_packed`, `matmul_t_accum_fast`) and a full GPT
-//! train step under `KernelMode::Naive` (the pre-kernel-layer reference
-//! loops) and `KernelMode::Blocked`, and a KV-cached decode loop on the
-//! pinned f32 and the int8 kernels.
+//! Times each matrix kernel (the order-preserving `matmul_into`,
+//! `matmul_t_accum` and the reassociating training kernels `matmul_fast`,
+//! `matmul_bt_packed`, `matmul_t_accum_fast`) against its reference — the
+//! library's reference loops `Mat::matmul_into_naive` and
+//! `Mat::matmul_t_accum_naive`, or `matmul_bt` for `matmul_bt_packed` — and
+//! a KV-cached decode loop on the pinned f32 and the int8 kernels.
 //!
 //! Everything runs on one GEMM thread, as perfbench does: on a shared host
 //! extra pool threads measure the host's spare cores, not the kernels.
@@ -21,12 +21,11 @@
 //! itself shifts with the host's state for seconds at a time, and such a
 //! state then decides no ratio unless it lasts the whole run.
 //!
-//! Equality is asserted, not trusted: the three order-preserving kernels
-//! must be bit-identical to naive. The training kernels reassociate their
-//! sums by design (that is where their speed comes from), so they are
-//! checked against naive to a relative tolerance instead; likewise every
-//! blocked train-step run must be bitwise identical to the others and
-//! within tolerance of the naive trajectory.
+//! Equality is asserted, not trusted: the two order-preserving kernels
+//! must be bit-identical to their reference. The training kernels
+//! reassociate their sums by design (that is where their speed comes
+//! from), so they are checked against theirs to a relative tolerance
+//! instead.
 //!
 //! The JSON report carries a flat `speedups` map of dimensionless
 //! fast-over-reference ratios — machine-relative numbers the `bench_gate`
@@ -41,10 +40,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use pagpass_bench::save_json_str;
-use pagpass_nn::{
-    pool, set_force_portable, set_kernel_mode, AdamW, Gpt, GptConfig, KernelMode, Mat,
-    QuantizedGpt, Rng,
-};
+use pagpass_nn::{pool, set_force_portable, Gpt, GptConfig, Mat, QuantizedGpt, Rng};
 use pagpass_tokenizer::VOCAB_SIZE;
 
 /// Medians over the rounds of one pair of arms timed interleaved.
@@ -76,10 +72,9 @@ struct Pair<'a> {
     b: Arm<'a>,
 }
 
-/// An arm that times `reps` back-to-back calls of `run` under kernel `mode`.
-fn arm<'a, T>(mode: KernelMode, reps: usize, run: impl Fn() -> T + 'a) -> Arm<'a> {
+/// An arm that times `reps` back-to-back calls of `run`.
+fn arm<'a, T>(reps: usize, run: impl Fn() -> T + 'a) -> Arm<'a> {
     Box::new(move || {
-        set_kernel_mode(mode);
         let start = Instant::now();
         for _ in 0..reps {
             black_box(run());
@@ -118,27 +113,11 @@ struct KernelTiming {
     n: usize,
     naive_ms: f64,
     blocked_ms: f64,
-    /// Median per-round naive / blocked.
+    /// Median per-round reference / blocked.
     speedup: f64,
-    /// Blocked output bit-identical to the naive reference (false only for
-    /// the reassociating kernels, which are tolerance-checked instead).
+    /// Blocked output bit-identical to the reference (false only for the
+    /// reassociating kernels, which are tolerance-checked instead).
     bit_compat_with_naive: bool,
-}
-
-struct TrainStep {
-    dim: usize,
-    n_layers: usize,
-    n_heads: usize,
-    batch: usize,
-    seq: usize,
-    steps: usize,
-    naive_ms: f64,
-    blocked_ms: f64,
-    speedup: f64,
-    /// Max relative divergence between naive and blocked loss curves (the
-    /// packed gradient kernel reassociates sums, so this is small but
-    /// nonzero).
-    losses_max_rel_diff: f64,
 }
 
 struct DecodeTiming {
@@ -162,7 +141,6 @@ struct Report {
     rounds: usize,
     reps: usize,
     kernels: Vec<KernelTiming>,
-    train_step: TrainStep,
     decode: DecodeTiming,
     /// Dimensionless fast-over-reference ratios, keyed for `bench_gate`.
     speedups: BTreeMap<String, f64>,
@@ -186,27 +164,6 @@ impl KernelTiming {
             self.blocked_ms,
             self.speedup,
             self.bit_compat_with_naive
-        )
-    }
-}
-
-impl TrainStep {
-    fn json(&self) -> String {
-        format!(
-            "{{\n    \"dim\": {}, \"n_layers\": {}, \"n_heads\": {}, \"batch\": {}, \
-             \"seq\": {}, \"steps\": {},\n    \
-             \"naive_ms\": {:.3}, \"blocked_ms\": {:.3}, \"speedup\": {:.3},\n    \
-             \"losses_max_rel_diff\": {:.3e}\n  }}",
-            self.dim,
-            self.n_layers,
-            self.n_heads,
-            self.batch,
-            self.seq,
-            self.steps,
-            self.naive_ms,
-            self.blocked_ms,
-            self.speedup,
-            self.losses_max_rel_diff
         )
     }
 }
@@ -247,7 +204,6 @@ impl Report {
             let _ = writeln!(out, "    {}{sep}", kt.json());
         }
         out.push_str("  ],\n");
-        let _ = writeln!(out, "  \"train_step\": {},", self.train_step.json());
         let _ = writeln!(out, "  \"decode\": {},", self.decode.json());
         out.push_str("  \"speedups\": {\n");
         for (i, (key, value)) in self.speedups.iter().enumerate() {
@@ -265,13 +221,11 @@ struct Setup {
     shape: (usize, usize, usize),
     /// Interleaved rounds of every pair.
     rounds: usize,
-    /// Repetitions of a kernel or decode arm per round (a train-step arm
-    /// runs once: `train_steps` steps from a fresh model).
+    /// Repetitions of a kernel or decode arm per round.
     reps: usize,
     config: GptConfig,
     batch: usize,
     seq: usize,
-    train_steps: usize,
 }
 
 fn setup(smoke: bool) -> Setup {
@@ -290,7 +244,6 @@ fn setup(smoke: bool) -> Setup {
             },
             batch: 8,
             seq: 16,
-            train_steps: 3,
         }
     } else {
         Setup {
@@ -307,23 +260,12 @@ fn setup(smoke: bool) -> Setup {
             },
             batch: 32,
             seq: 24,
-            train_steps: 6,
         }
     }
 }
 
 fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
-}
-
-fn max_rel_diff(a: &[f32], b: &[f32]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let scale = x.abs().max(y.abs()).max(1e-12);
-            f64::from((x - y).abs() / scale)
-        })
-        .fold(0.0, f64::max)
 }
 
 /// Largest elementwise gap between `want` and `got`, relative to the
@@ -338,8 +280,8 @@ fn scaled_drift(want: &Mat, got: &Mat) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// The operands the kernel micro-benchmarks draw from: `matmul_bt` takes
-/// an n×k rhs, the other kernels consume k-leading operands.
+/// The operands the kernel micro-benchmarks draw from: `matmul_bt_packed`
+/// takes an n×k rhs, the other kernels consume k-leading operands.
 struct Operands {
     a: Mat,
     b_kn: Mat,
@@ -360,38 +302,53 @@ impl Operands {
     }
 }
 
-/// One kernel call on the operands, dispatched by the global kernel mode.
+/// One kernel call on the operands.
 type Kernel = fn(&Operands) -> Mat;
 
-/// Each gated kernel by name.
-const KERNELS: [(&str, Kernel); 6] = [
-    ("matmul_into", |o| {
+/// The reference loop of `matmul_into` and `matmul_fast`.
+fn naive_into(o: &Operands) -> Mat {
+    let mut out = Mat::zeros(o.a.rows(), o.b_kn.cols());
+    o.a.matmul_into_naive(&o.b_kn, &mut out);
+    out
+}
+
+/// The reference loop of `matmul_t_accum` and `matmul_t_accum_fast`.
+fn naive_t_accum(o: &Operands) -> Mat {
+    let mut out = Mat::zeros(o.x_mk.cols(), o.dy_mn.cols());
+    o.x_mk.matmul_t_accum_naive(&o.dy_mn, &mut out);
+    out
+}
+
+/// Each gated kernel by name, with its reference.
+const KERNELS: [(&str, Kernel, Kernel); 5] = [
+    ("matmul_into", naive_into, |o| {
         let mut out = Mat::zeros(o.a.rows(), o.b_kn.cols());
         o.a.matmul_into(&o.b_kn, &mut out);
         out
     }),
-    ("matmul_bt", |o| o.a.matmul_bt(&o.b_nk)),
-    ("matmul_bt_packed", |o| o.a.matmul_bt_packed(&o.b_nk)),
-    ("matmul_fast", |o| o.a.matmul_fast(&o.b_kn)),
-    ("matmul_t_accum", |o| {
+    (
+        "matmul_bt_packed",
+        |o| o.a.matmul_bt(&o.b_nk),
+        |o| o.a.matmul_bt_packed(&o.b_nk),
+    ),
+    ("matmul_fast", naive_into, |o| o.a.matmul_fast(&o.b_kn)),
+    ("matmul_t_accum", naive_t_accum, |o| {
         let mut out = Mat::zeros(o.x_mk.cols(), o.dy_mn.cols());
         o.x_mk.matmul_t_accum(&o.dy_mn, &mut out);
         out
     }),
-    ("matmul_t_accum_fast", |o| {
+    ("matmul_t_accum_fast", naive_t_accum, |o| {
         let mut out = Mat::zeros(o.x_mk.cols(), o.dy_mn.cols());
         o.x_mk.matmul_t_accum_fast(&o.dy_mn, &mut out);
         out
     }),
 ];
 
-/// Runs `kernel` once under each mode and checks blocked against naive:
+/// Runs `kernel` and its reference once and checks one against the other:
 /// bitwise for the order-preserving kernels, to a relative tolerance for
 /// the reassociating ones. Returns whether the two are bit-identical.
-fn check_kernel(kernel: &str, run: Kernel, o: &Operands) -> bool {
-    set_kernel_mode(KernelMode::Naive);
-    let naive_out = run(o);
-    set_kernel_mode(KernelMode::Blocked);
+fn check_kernel(kernel: &str, reference: Kernel, run: Kernel, o: &Operands) -> bool {
+    let naive_out = reference(o);
     let blocked_out = run(o);
     let bit_compat_with_naive = blocked_out == naive_out;
     let reassociating = matches!(
@@ -407,32 +364,10 @@ fn check_kernel(kernel: &str, run: Kernel, o: &Operands) -> bool {
     } else {
         assert!(
             bit_compat_with_naive,
-            "{kernel}: blocked output diverged from naive"
+            "{kernel}: blocked output diverged from the reference"
         );
     }
     bit_compat_with_naive
-}
-
-/// Runs `steps` optimizer steps from a fresh deterministic model; returns
-/// (wall ms, per-step losses).
-fn run_training(s: &Setup, mode: KernelMode) -> (f64, Vec<f32>) {
-    set_kernel_mode(mode);
-    let mut model = Gpt::new(s.config, &mut Rng::seed_from(5));
-    let mut opt = AdamW::new(3e-4);
-    let mut data_rng = Rng::seed_from(17);
-    let batches: Vec<Vec<u32>> = (0..s.train_steps)
-        .map(|_| {
-            (0..s.batch * s.seq)
-                .map(|_| data_rng.below(s.config.vocab_size) as u32)
-                .collect()
-        })
-        .collect();
-    let start = Instant::now();
-    let losses = batches
-        .iter()
-        .map(|tokens| model.train_step(tokens, s.batch, s.seq, None, &mut opt))
-        .collect();
-    (ms(start), losses)
 }
 
 /// A KV-cached decode loop, run under the pinned blocked f32 kernels and
@@ -449,7 +384,6 @@ struct Decode {
 
 impl Decode {
     fn new(s: &Setup) -> Decode {
-        set_kernel_mode(KernelMode::Blocked);
         let gpt = Gpt::new(s.config, &mut Rng::seed_from(5));
         let mut data_rng = Rng::seed_from(23);
         let steps = (0..s.seq)
@@ -481,7 +415,6 @@ impl Decode {
     /// and portable dispatch and sit within int8 noise of the pinned ones;
     /// returns their largest divergence relative to the largest logit.
     fn check(&self) -> f64 {
-        set_kernel_mode(KernelMode::Blocked);
         let pinned_logits = self.run(None);
         let quant_logits = self.run(Some(&self.q));
         set_force_portable(true);
@@ -518,37 +451,23 @@ fn main() {
     let bit_compat: Vec<bool> = KERNELS
         .iter()
         .zip(&operands)
-        .map(|(&(kernel, run), o)| check_kernel(kernel, run, o))
+        .map(|(&(kernel, reference, run), o)| check_kernel(kernel, reference, run, o))
         .collect();
     let decode = Decode::new(&s);
     let logits_max_rel_diff = decode.check();
 
-    let mut naive_losses = Vec::new();
-    let mut blocked_runs = Vec::with_capacity(s.rounds);
     let timings = {
         let mut pairs: Vec<Pair> = KERNELS
             .iter()
             .zip(&operands)
-            .map(|(&(_, run), o)| Pair {
-                a: arm(KernelMode::Naive, s.reps, move || run(o)),
-                b: arm(KernelMode::Blocked, s.reps, move || run(o)),
+            .map(|(&(_, reference, run), o)| Pair {
+                a: arm(s.reps, move || reference(o)),
+                b: arm(s.reps, move || run(o)),
             })
             .collect();
         pairs.push(Pair {
-            a: Box::new(|| {
-                let (wall, losses) = run_training(&s, KernelMode::Naive);
-                naive_losses = losses;
-                wall
-            }),
-            b: Box::new(|| {
-                let (wall, losses) = run_training(&s, KernelMode::Blocked);
-                blocked_runs.push(losses);
-                wall
-            }),
-        });
-        pairs.push(Pair {
-            a: arm(KernelMode::Blocked, s.reps, || decode.run(None)),
-            b: arm(KernelMode::Blocked, s.reps, || decode.run(Some(&decode.q))),
+            a: arm(s.reps, || decode.run(None)),
+            b: arm(s.reps, || decode.run(Some(&decode.q))),
         });
         interleaved(s.rounds, &mut pairs)
     };
@@ -558,7 +477,7 @@ fn main() {
         .iter()
         .zip(&timings)
         .zip(bit_compat)
-        .map(|((&(kernel, _), t), bit_compat_with_naive)| {
+        .map(|((&(kernel, _, _), t), bit_compat_with_naive)| {
             eprintln!(
                 "[gemm] {kernel:<20} {m}x{k}x{n}: naive {:>8.4}ms  blocked {:>8.4}ms  \
                  speedup {:.3}x",
@@ -578,35 +497,6 @@ fn main() {
         .collect();
 
     let t = &timings[KERNELS.len()];
-    assert!(
-        blocked_runs.iter().all(|l| *l == blocked_runs[0]),
-        "blocked training is non-deterministic: {blocked_runs:?}"
-    );
-    let losses_max_rel_diff = max_rel_diff(&naive_losses, &blocked_runs[0]);
-    assert!(
-        losses_max_rel_diff < 5e-3,
-        "train-step losses drifted: naive {naive_losses:?} vs blocked {:?}",
-        blocked_runs[0]
-    );
-    eprintln!(
-        "[gemm] train step: dim={} layers={} batch={}x{} steps={}: naive {:.1}ms  \
-         blocked {:.1}ms  speedup {:.3}x  loss drift {losses_max_rel_diff:.2e}",
-        s.config.dim, s.config.n_layers, s.batch, s.seq, s.train_steps, t.a_ms, t.b_ms, t.ratio
-    );
-    let train_step = TrainStep {
-        dim: s.config.dim,
-        n_layers: s.config.n_layers,
-        n_heads: s.config.n_heads,
-        batch: s.batch,
-        seq: s.seq,
-        steps: s.train_steps,
-        naive_ms: t.a_ms,
-        blocked_ms: t.b_ms,
-        speedup: t.ratio,
-        losses_max_rel_diff,
-    };
-
-    let t = &timings[KERNELS.len() + 1];
     eprintln!(
         "[gemm] decode dim={} batch={}x{}: pinned {:.4}ms  quantized {:.4}ms  \
          speedup {:.3}x  logit drift {logits_max_rel_diff:.2e}",
@@ -627,7 +517,6 @@ fn main() {
     for kt in &kernels {
         speedups.insert(kt.kernel.to_string(), kt.speedup);
     }
-    speedups.insert("train_step".to_string(), train_step.speedup);
     speedups.insert("decode_quantized_vs_pinned".to_string(), decode.speedup);
 
     let report = Report {
@@ -637,7 +526,6 @@ fn main() {
         rounds: s.rounds,
         reps: s.reps,
         kernels,
-        train_step,
         decode,
         speedups,
     };

@@ -102,12 +102,9 @@ mod tests {
   "kernels": [
     { "kernel": "matmul_into", "naive_ms": 5.600, "speedup_blocked": 1.333 }
   ],
-  "train_step": {
-    "naive_ms": 5.500, "blocked_4t_ms": 3.900, "speedup": 1.410
-  },
   "speedups": {
     "matmul_into": 1.333,
-    "train_step": 1.410
+    "matmul_fast": 1.410
   }
 }
 "#;
@@ -117,7 +114,7 @@ mod tests {
         let map = extract_speedups(REPORT).unwrap();
         assert_eq!(map.len(), 2);
         assert!((map["matmul_into"] - 1.333).abs() < 1e-9);
-        assert!((map["train_step"] - 1.41).abs() < 1e-9);
+        assert!((map["matmul_fast"] - 1.41).abs() < 1e-9);
     }
 
     #[test]
@@ -135,14 +132,14 @@ mod tests {
 
     #[test]
     fn injected_2x_slowdown_fails_the_gate() {
-        // Doctor the report: halve the train-step speedup, the signature of
-        // a change that made the blocked path twice as slow.
-        let doctored = REPORT.replace("\"train_step\": 1.410", "\"train_step\": 0.705");
+        // Doctor the report: halve the `matmul_fast` speedup, the signature
+        // of a change that made the blocked kernel twice as slow.
+        let doctored = REPORT.replace("\"matmul_fast\": 1.410", "\"matmul_fast\": 0.705");
         let current = extract_speedups(&doctored).unwrap();
         let baseline = extract_speedups(REPORT).unwrap();
         let violations = check(&current, &baseline, DEFAULT_TOLERANCE);
         assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].starts_with("train_step:"), "{violations:?}");
+        assert!(violations[0].starts_with("matmul_fast:"), "{violations:?}");
     }
 
     #[test]
@@ -177,12 +174,10 @@ mod tests {
         let baseline = extract_speedups(&data).expect("baseline parses");
         for key in [
             "matmul_into",
-            "matmul_bt",
             "matmul_bt_packed",
             "matmul_fast",
             "matmul_t_accum",
             "matmul_t_accum_fast",
-            "train_step",
             "decode_quantized_vs_pinned",
         ] {
             assert!(baseline.contains_key(key), "baseline lacks {key}");

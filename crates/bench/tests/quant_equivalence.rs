@@ -89,12 +89,12 @@ fn quantized_pipeline_stays_inside_the_accuracy_budget() {
     let model = trained_model();
     let test_set = corpus();
 
-    set_kernel_mode(KernelMode::Blocked);
+    set_kernel_mode(KernelMode::Pinned);
     let (pinned_guesses, pinned_scores) = run_pipeline(&model, &test_set);
 
     set_kernel_mode(KernelMode::Quantized);
     let (quant_guesses, quant_scores) = run_pipeline(&model, &test_set);
-    set_kernel_mode(KernelMode::Blocked);
+    set_kernel_mode(KernelMode::Pinned);
 
     let eq: QuantEquivalence = quant_equivalence(
         &pinned_guesses,

@@ -102,15 +102,6 @@ impl Deadline {
     pub fn expired(&self) -> bool {
         Instant::now() >= self.at
     }
-
-    /// The earlier of two deadlines — e.g. a per-request deadline capped
-    /// by a server-wide drain deadline.
-    #[must_use]
-    pub fn min(self, other: Deadline) -> Deadline {
-        Deadline {
-            at: self.at.min(other.at),
-        }
-    }
 }
 
 /// Deterministic fault injection for the fault-tolerance test-suite.

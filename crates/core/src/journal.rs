@@ -20,17 +20,16 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use pagpass_nn::{atomic_write, crc32};
+use pagpass_nn::{atomic_write, crc32, KernelMode};
 use pagpass_patterns::Pattern;
 
 use crate::dcgen::FailedTask;
-use crate::kernel::KernelChoice;
 use crate::sched::SchedulerKind;
 use crate::CoreError;
 
 /// Header of journals written by builds before the decode-kernel field
 /// existed. Still accepted on load; the kernel defaults to
-/// [`KernelChoice::Pinned`], the only kernel those builds had.
+/// [`KernelMode::Pinned`], the only kernel those builds had.
 const HEADER_V1: &str = "PAGPASS-DCGEN-JOURNAL v1";
 
 /// First line of every journal this build writes. v2 appended the decode
@@ -84,8 +83,8 @@ pub struct DcGenJournal {
     /// kernel-specific (pinned f32 and quantized int8 logits differ), so
     /// [`check_kernel`](Self::check_kernel) refuses to resume under a
     /// different one. Journals from older builds default to
-    /// [`KernelChoice::Pinned`], the only kernel that existed then.
-    pub kernel: KernelChoice,
+    /// [`KernelMode::Pinned`], the only kernel that existed then.
+    pub kernel: KernelMode,
     /// Pattern table; task `pattern_idx` fields index into this.
     pub patterns: Vec<Pattern>,
     /// Passwords emitted so far. An output file being resumed should be
@@ -247,7 +246,9 @@ impl DcGenJournal {
             .and_then(|l| l.strip_prefix("patterns "))
             .and_then(|n| n.parse::<usize>().ok())
             .ok_or_else(|| bad("missing patterns line"))?;
-        let mut patterns = Vec::with_capacity(n_patterns);
+        // The counts are only as trustworthy as a recomputable CRC, so they
+        // size no allocation: an inflated count runs out of lines instead.
+        let mut patterns = Vec::new();
         for _ in 0..n_patterns {
             let line = lines.next().ok_or_else(|| bad("truncated pattern list"))?;
             patterns.push(line.parse::<Pattern>().map_err(|_| bad("bad pattern"))?);
@@ -292,9 +293,9 @@ impl DcGenJournal {
         let frontier_cap = stats.get(12).map_or(Ok(0), |s| uint(s))?;
         let kernel = match stats.get(13) {
             Some(s) => s
-                .parse::<KernelChoice>()
+                .parse::<KernelMode>()
                 .map_err(|_| bad("bad kernel name"))?,
-            None => KernelChoice::Pinned,
+            None => KernelMode::Pinned,
         };
 
         let n_tasks = lines
@@ -302,7 +303,7 @@ impl DcGenJournal {
             .and_then(|l| l.strip_prefix("tasks "))
             .and_then(|n| n.parse::<usize>().ok())
             .ok_or_else(|| bad("missing tasks line"))?;
-        let mut tasks = Vec::with_capacity(n_tasks);
+        let mut tasks = Vec::new();
         for _ in 0..n_tasks {
             let line = lines.next().ok_or_else(|| bad("truncated task list"))?;
             let fields: Vec<&str> = line.split('\t').collect();
@@ -330,7 +331,7 @@ impl DcGenJournal {
             .and_then(|l| l.strip_prefix("failed "))
             .and_then(|n| n.parse::<usize>().ok())
             .ok_or_else(|| bad("missing failed line"))?;
-        let mut failed = Vec::with_capacity(n_failed);
+        let mut failed = Vec::new();
         for _ in 0..n_failed {
             let line = lines.next().ok_or_else(|| bad("truncated failed list"))?;
             let fields: Vec<&str> = line.split('\t').collect();
@@ -411,7 +412,7 @@ impl DcGenJournal {
     ///
     /// Returns [`CoreError::Journal`] naming both kernels when they
     /// differ.
-    pub fn check_kernel(&self, requested: KernelChoice) -> Result<(), CoreError> {
+    pub fn check_kernel(&self, requested: KernelMode) -> Result<(), CoreError> {
         if self.kernel != requested {
             return Err(CoreError::Journal(format!(
                 "journal was written by the `{}` kernel but this resume requested `{requested}`; \
@@ -459,7 +460,7 @@ mod tests {
             scheduler: SchedulerKind::Dcgen,
             sched_config_hash: 0x1234_abcd,
             frontier_cap: 0,
-            kernel: KernelChoice::Pinned,
+            kernel: KernelMode::Pinned,
             patterns: vec!["L4N2".parse().unwrap(), "L8".parse().unwrap()],
             emitted: 300,
             completed: 7,
@@ -529,31 +530,32 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
+    /// `j`'s text with `edit` applied to every body line and the CRC
+    /// recomputed, so only the parser stands between the edit and a load.
+    fn resigned(j: &DcGenJournal, edit: impl Fn(&str) -> String) -> String {
+        let text = j.to_text();
+        let body_end = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
+        let body: String = text[..body_end].lines().map(|l| edit(l) + "\n").collect();
+        format!("{body}crc {:08x}\n", crc32(body.as_bytes()))
+    }
+
     /// Re-serializes `j` with `strip` trailing stats fields removed, the
     /// header downgraded to v1, and the CRC recomputed, imitating a
     /// journal from an older build.
     fn legacy_text(j: &DcGenJournal, strip: usize) -> String {
-        let text = j.to_text();
-        let body_end = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
-        let legacy_body = text[..body_end]
-            .lines()
-            .map(|l| {
-                if l == HEADER_V2 {
-                    HEADER_V1.to_string()
-                } else if l.starts_with("stats ") {
-                    let mut l = l.to_string();
-                    for _ in 0..strip {
-                        l = l.rsplit_once(' ').unwrap().0.to_string();
-                    }
-                    l
-                } else {
-                    l.to_string()
+        resigned(j, |l| {
+            if l == HEADER_V2 {
+                HEADER_V1.to_string()
+            } else if l.starts_with("stats ") {
+                let mut l = l.to_string();
+                for _ in 0..strip {
+                    l = l.rsplit_once(' ').unwrap().0.to_string();
                 }
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        format!("{legacy_body}crc {:08x}\n", crc32(legacy_body.as_bytes()))
+                l
+            } else {
+                l.to_string()
+            }
+        })
     }
 
     #[test]
@@ -568,7 +570,7 @@ mod tests {
         assert_eq!(parsed.scheduler, SchedulerKind::Dcgen);
         assert_eq!(parsed.sched_config_hash, 0);
         assert_eq!(parsed.frontier_cap, 0);
-        assert_eq!(parsed.kernel, KernelChoice::Pinned);
+        assert_eq!(parsed.kernel, KernelMode::Pinned);
         assert_eq!(parsed.emitted, j.emitted);
         assert_eq!(parsed.tasks, j.tasks);
     }
@@ -605,7 +607,7 @@ mod tests {
         // line; the kernel defaults to pinned, the only kernel then.
         let j = sample();
         let parsed = DcGenJournal::from_text(&legacy_text(&j, 1)).unwrap();
-        assert_eq!(parsed.kernel, KernelChoice::Pinned);
+        assert_eq!(parsed.kernel, KernelMode::Pinned);
         assert_eq!(parsed.scheduler, j.scheduler);
         assert_eq!(parsed.sched_config_hash, j.sched_config_hash);
         assert_eq!(parsed.tasks, j.tasks);
@@ -614,17 +616,17 @@ mod tests {
     #[test]
     fn kernel_identity_roundtrips() {
         let mut j = sample();
-        j.kernel = KernelChoice::Quantized;
+        j.kernel = KernelMode::Quantized;
         let parsed = DcGenJournal::from_text(&j.to_text()).unwrap();
-        assert_eq!(parsed.kernel, KernelChoice::Quantized);
+        assert_eq!(parsed.kernel, KernelMode::Quantized);
     }
 
     #[test]
     fn check_kernel_refuses_mismatch_with_clear_diagnostic() {
         let mut j = sample();
-        j.kernel = KernelChoice::Quantized;
-        assert!(j.check_kernel(KernelChoice::Quantized).is_ok());
-        let err = j.check_kernel(KernelChoice::Pinned).unwrap_err();
+        j.kernel = KernelMode::Quantized;
+        assert!(j.check_kernel(KernelMode::Quantized).is_ok());
+        let err = j.check_kernel(KernelMode::Pinned).unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains("`quantized`"),
@@ -640,27 +642,84 @@ mod tests {
         );
     }
 
+    /// `sample()` under each kernel, as v2 journals render it. Literal
+    /// bytes, so the kernel names journals carry cannot drift.
+    const V2_PINNED: &str = "PAGPASS-DCGEN-JOURNAL v2
+config 1000 64 3f733333 42 2 2 16
+patterns 2
+L4N2
+L8
+stats 300 7 5 2 1 2 1 11 4 57 dcgen 1234abcd 0 pinned
+tasks 2
+9\t0\tab\t405edd2f1a9fbe77
+10\t1\t\t401c000000000000
+failed 1
+L8\tx\t400c000000000000\tinjected fault
+crc e62b837d
+";
+    const V2_QUANTIZED: &str = "PAGPASS-DCGEN-JOURNAL v2
+config 1000 64 3f733333 42 2 2 16
+patterns 2
+L4N2
+L8
+stats 300 7 5 2 1 2 1 11 4 57 dcgen 1234abcd 0 quantized
+tasks 2
+9\t0\tab\t405edd2f1a9fbe77
+10\t1\t\t401c000000000000
+failed 1
+L8\tx\t400c000000000000\tinjected fault
+crc 98298845
+";
+
+    #[test]
+    fn v2_journal_text_loads_and_renders_back_byte_for_byte() {
+        for (text, kernel) in [
+            (V2_PINNED, KernelMode::Pinned),
+            (V2_QUANTIZED, KernelMode::Quantized),
+        ] {
+            let j = DcGenJournal::from_text(text).unwrap();
+            assert_eq!(j.kernel, kernel);
+            assert_eq!(j.to_text(), text);
+        }
+    }
+
+    /// Loads `sample()` with the count on its `count` line replaced by
+    /// `usize::MAX` and the CRC recomputed.
+    fn inflated(count: &str) -> Result<DcGenJournal, CoreError> {
+        let prefix = format!("{count} ");
+        DcGenJournal::from_text(&resigned(&sample(), |l| {
+            if l.starts_with(&prefix) {
+                format!("{count} {}", usize::MAX)
+            } else {
+                l.to_string()
+            }
+        }))
+    }
+
+    #[test]
+    fn inflated_pattern_count_is_rejected() {
+        assert!(matches!(inflated("patterns"), Err(CoreError::Journal(_))));
+    }
+
+    #[test]
+    fn inflated_task_count_is_rejected() {
+        assert!(matches!(inflated("tasks"), Err(CoreError::Journal(_))));
+    }
+
+    #[test]
+    fn inflated_failed_count_is_rejected() {
+        assert!(matches!(inflated("failed"), Err(CoreError::Journal(_))));
+    }
+
     #[test]
     fn garbage_kernel_name_is_rejected() {
-        let j = sample();
-        let tampered_body = j
-            .to_text()
-            .lines()
-            .map(|l| {
-                if l.starts_with("stats ") {
-                    format!("{} int4", l.rsplit_once(' ').unwrap().0)
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        // Drop the stale crc line and re-sign the tampered body.
-        let body = tampered_body
-            .rsplit_once('\n')
-            .map(|(b, _)| format!("{b}\n"))
-            .unwrap();
-        let text = format!("{body}crc {:08x}\n", crc32(body.as_bytes()));
+        let text = resigned(&sample(), |l| {
+            if l.starts_with("stats ") {
+                format!("{} int4", l.rsplit_once(' ').unwrap().0)
+            } else {
+                l.to_string()
+            }
+        });
         assert!(matches!(
             DcGenJournal::from_text(&text),
             Err(CoreError::Journal(msg)) if msg.contains("kernel")
@@ -696,25 +755,13 @@ mod tests {
 
     #[test]
     fn garbage_scheduler_name_is_rejected() {
-        let j = sample();
-        let tampered_body = j
-            .to_text()
-            .lines()
-            .map(|l| {
-                if l.starts_with("stats ") {
-                    l.replace(" dcgen ", " bogus ")
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        // Drop the stale crc line and re-sign the tampered body.
-        let body = tampered_body
-            .rsplit_once('\n')
-            .map(|(b, _)| format!("{b}\n"))
-            .unwrap();
-        let text = format!("{body}crc {:08x}\n", crc32(body.as_bytes()));
+        let text = resigned(&sample(), |l| {
+            if l.starts_with("stats ") {
+                l.replace(" dcgen ", " bogus ")
+            } else {
+                l.to_string()
+            }
+        });
         assert!(matches!(
             DcGenJournal::from_text(&text),
             Err(CoreError::Journal(msg)) if msg.contains("scheduler")

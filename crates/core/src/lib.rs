@@ -52,7 +52,6 @@ mod error;
 mod generate;
 mod inference;
 mod journal;
-mod kernel;
 mod model;
 mod sched;
 mod serve;
@@ -64,7 +63,6 @@ pub use dcgen::{DcGen, DcGenConfig, DcGenOptions, DcGenReport, FailedTask, Passw
 pub use error::CoreError;
 pub use inference::{InferenceSession, RulePrefix, FORWARD_MS_HISTOGRAM, PREFIX_REUSE_COUNTER};
 pub use journal::{DcGenJournal, JournalTask};
-pub use kernel::KernelChoice;
 pub use model::{ModelKind, PasswordModel};
 pub use sched::SchedulerKind;
 pub use serve::{

@@ -566,7 +566,7 @@ fn write_journal(
         scheduler: s.scheduler.kind(),
         sched_config_hash: config.sched_config_hash(),
         frontier_cap: config.frontier_cap,
-        kernel: crate::kernel::KernelChoice::current(),
+        kernel: pagpass_nn::kernel_mode(),
         patterns: pattern_list.to_vec(),
         emitted: s.emitted,
         completed: s.completed,

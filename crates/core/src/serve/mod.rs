@@ -295,10 +295,7 @@ fn emit_summary(report: &ServeReport, tel: &Telemetry) {
         "summary",
         "serve.summary",
         &[
-            (
-                "kernel",
-                Field::Str(crate::kernel::KernelChoice::current().to_string()),
-            ),
+            ("kernel", Field::Str(pagpass_nn::kernel_mode().to_string())),
             ("admitted", Field::U64(report.admitted)),
             ("completed", Field::U64(report.completed)),
             ("shed", Field::U64(report.shed)),

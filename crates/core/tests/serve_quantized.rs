@@ -107,7 +107,7 @@ fn quantized_scores_survive_a_server_restart_bit_identically() {
 
     // And they genuinely came from the quantized kernels, not a silent
     // fall-through to f32: the two modes disagree in the low bits.
-    set_kernel_mode(KernelMode::Blocked);
+    set_kernel_mode(KernelMode::Pinned);
     let f32_model = tiny();
     let mut f32_session = InferenceSession::new(&f32_model);
     let f32_score = f32_session.log_probability(pws[0]).expect("scorable");

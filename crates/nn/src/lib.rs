@@ -7,8 +7,11 @@
 //!
 //! * [`Mat`] — a dense row-major `f32` matrix with the small set of BLAS-like
 //!   kernels a transformer needs; the GEMMs are cache-blocked and run on a
-//!   persistent worker pool ([`pool`]), with the reference loops retained
-//!   behind [`KernelMode::Naive`] for paired benchmarking,
+//!   persistent worker pool ([`pool`]), and the reference loops that define
+//!   their bits ([`Mat::matmul_into_naive`], [`Mat::matmul_t_accum_naive`])
+//!   are plain functions the equivalence tests and the paired benchmark call,
+//! * [`KernelMode`] — the process-wide decode kernel: `pinned` f32, whose
+//!   bits the golden files pin, or `quantized` int8 ([`qmat`]),
 //! * layers with **manual forward/backward passes**: [`Linear`],
 //!   [`Embedding`], [`LayerNorm`], [`Mlp`] (GELU), and causal multi-head
 //!   [`SelfAttention`],

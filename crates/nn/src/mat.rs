@@ -1,54 +1,72 @@
+use std::fmt;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use crate::pool::{self, ThreadPool};
 use crate::Rng;
 
-/// Which GEMM implementation the [`Mat`] kernels dispatch to.
+/// Which decode kernel family inference sessions use — the `--kernel`
+/// choice shared by `dcgen`, `strength` and `serve`.
 ///
-/// `Blocked` (the default) is the cache-blocked, optionally parallel path;
-/// `Naive` is the original reference triple loop, kept selectable so
-/// benchmarks can pair the two and tests can assert they are bit-identical.
-/// Both paths perform the same per-element floating-point operations in the
-/// same order, so switching modes never changes results — only speed.
-///
-/// `Quantized` is different in kind: the f32 GEMM entry points below still
-/// run the blocked kernels (training and f32 fallbacks must stay bit-exact),
-/// but inference sessions that see this mode pack their decode weights into
-/// [`crate::QMat`] int8 blocks and route decode matmuls through
-/// [`crate::qmat`]. It is an explicit alternative decode mode with its own
-/// golden files and accuracy budget, not a bit-compatible swap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The f32 GEMM entry points on [`Mat`] never read it: they always run the
+/// blocked kernels on the global [`pool`], whose bits the reference loops
+/// ([`Mat::matmul_into_naive`], [`Mat::matmul_t_accum_naive`]) define.
+/// Only inference sessions look at the mode, when they are built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Reference single-threaded triple loops.
-    Naive,
-    /// Cache-blocked kernels running on the global [`pool`].
-    Blocked,
-    /// Blocked f32 kernels plus int8 pack-once decode ([`crate::qmat`]).
+    /// Bit-exact blocked f32 decode — the default, pinned by the f32
+    /// golden files.
+    #[default]
+    Pinned,
+    /// Pack-once int8 decode: sessions built under this mode pack their
+    /// decode weights into [`crate::QMat`] blocks and route decode matmuls
+    /// through [`crate::qmat`]. Deterministic, with its own golden files
+    /// and an accuracy budget, but not bit-compatible with `Pinned`.
     Quantized,
 }
 
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(KernelMode::Blocked as u8);
+impl fmt::Display for KernelMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            KernelMode::Pinned => "pinned",
+            KernelMode::Quantized => "quantized",
+        })
+    }
+}
+
+impl FromStr for KernelMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<KernelMode, String> {
+        match s {
+            "pinned" => Ok(KernelMode::Pinned),
+            "quantized" => Ok(KernelMode::Quantized),
+            other => Err(format!(
+                "unknown kernel `{other}` (expected `pinned` or `quantized`)"
+            )),
+        }
+    }
+}
+
+static KERNEL_MODE: AtomicU8 = AtomicU8::new(KernelMode::Pinned as u8);
 static GEMM_CALLS: AtomicU64 = AtomicU64::new(0);
 
-/// Selects the implementation behind the `Mat` GEMM entry points,
-/// process-wide. Benchmarks flip this to pair naive against blocked runs.
+/// Selects the decode kernel, process-wide, for inference sessions built
+/// after the call.
 pub fn set_kernel_mode(mode: KernelMode) {
     // ORD: a mode flip is a whole-phase switch, not a synchronization
     // point; readers may observe it one call late without harm.
     KERNEL_MODE.store(mode as u8, Ordering::Relaxed);
 }
 
-/// The currently selected GEMM implementation.
+/// The currently selected decode kernel.
 #[must_use]
 pub fn kernel_mode() -> KernelMode {
     // ORD: see `set_kernel_mode` — stale reads are benign.
-    let v = KERNEL_MODE.load(Ordering::Relaxed);
-    if v == KernelMode::Naive as u8 {
-        KernelMode::Naive
-    } else if v == KernelMode::Quantized as u8 {
+    if KERNEL_MODE.load(Ordering::Relaxed) == KernelMode::Quantized as u8 {
         KernelMode::Quantized
     } else {
-        KernelMode::Blocked
+        KernelMode::Pinned
     }
 }
 
@@ -114,10 +132,10 @@ unsafe impl Sync for RowsPtr {}
 /// are flattened to `(batch × time) × dim`. The kernels below are the only
 /// BLAS-like routines the transformer needs; they are written so the
 /// auto-vectorizer produces tight inner loops (contiguous row accesses, no
-/// bounds checks inside the hot loops thanks to slice windows). The GEMM
-/// entry points dispatch on [`KernelMode`]: cache-blocked kernels running on
-/// the persistent [`pool`] by default, with the reference loops retained
-/// behind [`KernelMode::Naive`]. Both produce bit-identical output.
+/// bounds checks inside the hot loops thanks to slice windows). Each GEMM
+/// entry point runs one cache-blocked kernel on the persistent [`pool`];
+/// the order-preserving ones are bit-identical to the reference loops
+/// [`Mat::matmul_into_naive`] and [`Mat::matmul_t_accum_naive`].
 ///
 /// # Examples
 ///
@@ -228,21 +246,14 @@ impl Mat {
 
     /// `self · other`, writing into a pre-allocated output (overwrites).
     ///
-    /// Dispatches on [`kernel_mode`]; the blocked path runs on the global
-    /// [`pool`]. Use [`Mat::matmul_into_on`] to pin a specific pool.
+    /// Runs the blocked kernel on the global [`pool`]. Use
+    /// [`Mat::matmul_into_on`] to pin a specific pool.
     ///
     /// # Panics
     ///
     /// Panics on any dimension mismatch, naming both shapes.
     pub fn matmul_into(&self, other: &Mat, out: &mut Mat) {
-        self.assert_matmul_shapes(other, out);
-        count_gemm_call();
-        match kernel_mode() {
-            KernelMode::Naive => self.matmul_into_naive(other, out),
-            KernelMode::Blocked | KernelMode::Quantized => {
-                self.matmul_into_pool(other, out, pool::global());
-            }
-        }
+        self.matmul_into_on(other, out, pool::global());
     }
 
     /// The blocked `self · other` kernel on an explicit pool — bit-identical
@@ -278,8 +289,15 @@ impl Mat {
         );
     }
 
-    /// The original reference loop, retained for `KernelMode::Naive`.
-    fn matmul_into_naive(&self, other: &Mat, out: &mut Mat) {
+    /// The reference `self · other` loop: single-threaded and unblocked, the
+    /// bit-exact definition of [`Mat::matmul_into`]. The library never calls
+    /// it; the equivalence tests and the paired benchmark do.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any dimension mismatch, naming both shapes.
+    pub fn matmul_into_naive(&self, other: &Mat, out: &mut Mat) {
+        self.assert_matmul_shapes(other, out);
         let (k, n) = (self.cols, other.cols);
         for i in 0..self.rows {
             let a_row = self.row(i);
@@ -320,21 +338,14 @@ impl Mat {
 
     /// `selfᵀ · other`: `(k×m)ᵀ · (k×n) → (m×n)`, accumulating into `out`.
     ///
-    /// This is the weight-gradient kernel `dW += Xᵀ·dY`. Dispatches on
-    /// [`kernel_mode`] like [`Mat::matmul_into`].
+    /// This is the weight-gradient kernel `dW += Xᵀ·dY`. Runs on the global
+    /// [`pool`] like [`Mat::matmul_into`].
     ///
     /// # Panics
     ///
     /// Panics on any dimension mismatch, naming both shapes.
     pub fn matmul_t_accum(&self, other: &Mat, out: &mut Mat) {
-        self.assert_t_accum_shapes(other, out);
-        count_gemm_call();
-        match kernel_mode() {
-            KernelMode::Naive => self.matmul_t_accum_naive(other, out),
-            KernelMode::Blocked | KernelMode::Quantized => {
-                self.matmul_t_accum_pool(other, out, pool::global());
-            }
-        }
+        self.matmul_t_accum_on(other, out, pool::global());
     }
 
     /// The blocked `selfᵀ · other` accumulation on an explicit pool —
@@ -370,8 +381,16 @@ impl Mat {
         );
     }
 
-    /// The original reference loop, retained for `KernelMode::Naive`.
-    fn matmul_t_accum_naive(&self, other: &Mat, out: &mut Mat) {
+    /// The reference `selfᵀ · other` accumulation loop: single-threaded and
+    /// unblocked, the bit-exact definition of [`Mat::matmul_t_accum`]. The
+    /// library never calls it; the equivalence tests and the paired
+    /// benchmark do.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any dimension mismatch, naming both shapes.
+    pub fn matmul_t_accum_naive(&self, other: &Mat, out: &mut Mat) {
+        self.assert_t_accum_shapes(other, out);
         let n = other.cols;
         for r in 0..self.rows {
             let x_row = self.row(r);
@@ -411,28 +430,19 @@ impl Mat {
     ///
     /// This is the input-gradient kernel `dX = dY·Wᵀ` (and the attention
     /// score kernel `Q·Kᵀ`). Both operands are traversed row-contiguously,
-    /// so the inner loop is a dot product of two slices. Dispatches on
-    /// [`kernel_mode`]; both modes share the same per-row dot kernel, the
-    /// blocked path merely spreads rows across the pool.
+    /// so the inner loop is a dot product of two slices, and the kernel is
+    /// its own reference: the pool only spreads rows, each computed by the
+    /// same per-row dot loop. Runs on the global [`pool`].
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch, naming both shapes.
     #[must_use]
     pub fn matmul_bt(&self, other: &Mat) -> Mat {
-        self.assert_bt_shapes(other);
-        count_gemm_call();
-        let mut out = Mat::zeros(self.rows, other.rows);
-        match kernel_mode() {
-            KernelMode::Naive => self.matmul_bt_rows(other, 0, self.rows, &mut out.data),
-            KernelMode::Blocked | KernelMode::Quantized => {
-                self.matmul_bt_pool(other, &mut out, pool::global());
-            }
-        }
-        out
+        self.matmul_bt_on(other, pool::global())
     }
 
-    /// The blocked `self · otherᵀ` kernel on an explicit pool —
+    /// The `self · otherᵀ` kernel on an explicit pool —
     /// bit-identical to [`Mat::matmul_bt`] at any thread count.
     ///
     /// # Panics
@@ -474,8 +484,8 @@ impl Mat {
         });
     }
 
-    /// Rows `[i0, i1)` of `self · otherᵀ` into `out_rows` — the one shared
-    /// inner kernel for both modes, so they agree bit-for-bit by
+    /// Rows `[i0, i1)` of `self · otherᵀ` into `out_rows` — the one inner
+    /// kernel every chunk runs, so any chunking agrees bit-for-bit by
     /// construction.
     fn matmul_bt_rows(&self, other: &Mat, i0: usize, i1: usize, out_rows: &mut [f32]) {
         let n = other.rows;
@@ -504,40 +514,27 @@ impl Mat {
     /// `self · otherᵀ` for training/gradient paths — the packed-transpose
     /// kernel.
     ///
-    /// Under [`KernelMode::Blocked`] this packs `otherᵀ` into a contiguous
-    /// buffer once and runs the register-tiled `fast` kernel,
-    /// which sustains several times the throughput of [`Mat::matmul_bt`]'s
-    /// latency-bound four-accumulator dot. The price is a different
-    /// per-element summation order (and FMA rounding on CPUs that have it),
-    /// so results differ from `matmul_bt` in the last bits. That makes this
-    /// kernel safe exactly where downstream consumers tolerate FP
-    /// reassociation — training — and unsafe in the forward sampling path,
-    /// whose association order is pinned by the golden-output tests.
-    ///
-    /// Under [`KernelMode::Naive`] this routes to the dot-form reference
-    /// loop, bit-identical to the pre-kernel-layer trainer. In either mode
-    /// the result is bit-identical at any thread count.
+    /// This packs `otherᵀ` into a contiguous buffer once and runs the
+    /// register-tiled `fast` kernel on the global [`pool`], which sustains
+    /// several times the throughput of [`Mat::matmul_bt`]'s latency-bound
+    /// four-accumulator dot. The price is a different per-element summation
+    /// order (and FMA rounding on CPUs that have it), so results differ from
+    /// `matmul_bt`, its reference, in the last bits. That makes this kernel
+    /// safe exactly where downstream consumers tolerate FP reassociation —
+    /// training — and unsafe in the forward sampling path, whose association
+    /// order is pinned by the golden-output tests. The result is
+    /// bit-identical at any thread count.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch, naming both shapes.
     #[must_use]
     pub fn matmul_bt_packed(&self, other: &Mat) -> Mat {
-        self.assert_bt_shapes(other);
-        match kernel_mode() {
-            KernelMode::Naive => self.matmul_bt(other),
-            KernelMode::Blocked | KernelMode::Quantized => {
-                count_gemm_call();
-                let packed = other.transposed();
-                let mut out = Mat::zeros(self.rows, other.rows);
-                self.fast_gemm_pool(&packed, &mut out, pool::global(), false);
-                out
-            }
-        }
+        self.matmul_bt_packed_on(other, pool::global())
     }
 
-    /// [`Mat::matmul_bt_packed`]'s blocked arm on an explicit pool —
-    /// bit-identical to the global-pool blocked arm at any thread count.
+    /// [`Mat::matmul_bt_packed`] on an explicit pool — bit-identical to the
+    /// global-pool call at any thread count.
     ///
     /// # Panics
     ///
@@ -557,28 +554,19 @@ impl Mat {
     /// Same contract as [`Mat::matmul_bt_packed`]: bit-identical at any
     /// thread count, but a different per-element association order (and FMA
     /// rounding where available) than [`Mat::matmul`] — so it may only be
-    /// used on the training path, never in forward sampling. Under
-    /// [`KernelMode::Naive`] it routes to the reference loop.
+    /// used on the training path, never in forward sampling. Runs on the
+    /// global [`pool`].
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch, naming both shapes.
     #[must_use]
     pub fn matmul_fast(&self, other: &Mat) -> Mat {
-        let mut out = Mat::zeros(self.rows, other.cols);
-        self.assert_matmul_shapes(other, &out);
-        count_gemm_call();
-        match kernel_mode() {
-            KernelMode::Naive => self.matmul_into_naive(other, &mut out),
-            KernelMode::Blocked | KernelMode::Quantized => {
-                self.fast_gemm_pool(other, &mut out, pool::global(), false);
-            }
-        }
-        out
+        self.matmul_fast_on(other, pool::global())
     }
 
-    /// [`Mat::matmul_fast`]'s blocked arm on an explicit pool —
-    /// bit-identical to the global-pool blocked arm at any thread count.
+    /// [`Mat::matmul_fast`] on an explicit pool — bit-identical to the
+    /// global-pool call at any thread count.
     ///
     /// # Panics
     ///
@@ -598,26 +586,18 @@ impl Mat {
     /// Packs `selfᵀ` once (an O(r·m) copy against the O(r·m·n) product) so
     /// the reduction runs down contiguous rows. Same contract as
     /// [`Mat::matmul_fast`]: thread-count invariant, association order
-    /// differs from [`Mat::matmul_t_accum`], training-path only. Under
-    /// [`KernelMode::Naive`] it routes to the reference loop.
+    /// differs from [`Mat::matmul_t_accum`], training-path only. Runs on the
+    /// global [`pool`].
     ///
     /// # Panics
     ///
     /// Panics on any dimension mismatch, naming both shapes.
     pub fn matmul_t_accum_fast(&self, other: &Mat, out: &mut Mat) {
-        self.assert_t_accum_shapes(other, out);
-        count_gemm_call();
-        match kernel_mode() {
-            KernelMode::Naive => self.matmul_t_accum_naive(other, out),
-            KernelMode::Blocked | KernelMode::Quantized => {
-                let xt = self.transposed();
-                xt.fast_gemm_pool(other, out, pool::global(), true);
-            }
-        }
+        self.matmul_t_accum_fast_on(other, out, pool::global());
     }
 
-    /// [`Mat::matmul_t_accum_fast`]'s blocked arm on an explicit pool —
-    /// bit-identical to the global-pool blocked arm at any thread count.
+    /// [`Mat::matmul_t_accum_fast`] on an explicit pool — bit-identical to
+    /// the global-pool call at any thread count.
     ///
     /// # Panics
     ///
@@ -972,6 +952,26 @@ mod tests {
         let a = Mat::zeros(2, 3);
         let b = Mat::zeros(4, 2);
         let _ = a.matmul(&b);
+    }
+
+    #[test]
+    fn parse_display_round_trip() {
+        for k in [KernelMode::Pinned, KernelMode::Quantized] {
+            assert_eq!(k.to_string().parse::<KernelMode>().unwrap(), k);
+        }
+    }
+
+    #[test]
+    fn unknown_kernel_is_rejected_with_both_options_named() {
+        // `blocked` and `naive` name variants that are gone or renamed; they
+        // must never become accepted `--kernel` values.
+        for name in ["int4", "blocked", "naive"] {
+            let err = name.parse::<KernelMode>().unwrap_err();
+            assert!(
+                err.contains(name) && err.contains("pinned") && err.contains("quantized"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

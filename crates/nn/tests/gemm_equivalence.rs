@@ -1,30 +1,20 @@
-//! Bitwise equivalence of the cache-blocked GEMM kernels against the naive
+//! Bitwise equivalence of the cache-blocked GEMM kernels against the
 //! reference loops, at every thread count.
 //!
 //! The golden-output regression (`crates/core/tests/golden_dcgen.rs`) only
 //! exercises the shapes one tiny model happens to produce. These tests pin
 //! the stronger claim the kernels are built on: for *any* shape — including
 //! 1×1, primes that defeat the 4-wide micro-kernel's main loop, and far
-//! fewer rows than worker threads — `KernelMode::Blocked` on pools of 1, 2
-//! and 4 threads produces outputs that compare `==` (bit-identical, not
-//! approximately equal) to `KernelMode::Naive`.
-//!
-//! `KernelMode` is process-global, so every test that flips it serializes on
-//! [`mode_guard`] and restores `Blocked` before releasing it. Tests that do
-//! not flip the mode are correct under either mode and need no guard.
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! fewer rows than worker threads — the blocked kernels on pools of 1, 2
+//! and 4 threads produce outputs that compare `==` (bit-identical, not
+//! approximately equal) to the reference loops [`Mat::matmul_into_naive`]
+//! and [`Mat::matmul_t_accum_naive`]. `matmul_bt` is its own reference (one
+//! dot loop per row, however the rows are chunked), so it is checked for
+//! thread-count invariance; it in turn is the reference of
+//! `matmul_bt_packed`.
 
 use pagpass_nn::gradcheck::GradCheck;
-use pagpass_nn::{pool, set_kernel_mode, KernelMode, Mat, Rng, SelfAttention, ThreadPool};
-
-/// Serializes tests that flip the process-global [`KernelMode`].
-fn mode_guard() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use pagpass_nn::{pool, Mat, Rng, SelfAttention, ThreadPool};
 
 /// Shapes chosen to stress every edge of the blocked kernels: the 1×1
 /// degenerate case, single-row/column operands, primes that leave a 1–3
@@ -50,16 +40,13 @@ fn pools() -> Vec<ThreadPool> {
 
 #[test]
 fn matmul_blocked_is_bit_identical_to_naive_at_any_thread_count() {
-    let _guard = mode_guard();
     let mut rng = Rng::seed_from(41);
     for &(m, k, n) in SHAPES {
         let a = Mat::randn(m, k, 1.0, &mut rng);
         let b = Mat::randn(k, n, 1.0, &mut rng);
 
-        set_kernel_mode(KernelMode::Naive);
         let mut want = Mat::zeros(m, n);
-        a.matmul_into(&b, &mut want);
-        set_kernel_mode(KernelMode::Blocked);
+        a.matmul_into_naive(&b, &mut want);
 
         for pool in pools() {
             let mut got = Mat::zeros(m, n);
@@ -76,7 +63,6 @@ fn matmul_blocked_is_bit_identical_to_naive_at_any_thread_count() {
 
 #[test]
 fn t_accum_blocked_is_bit_identical_to_naive_at_any_thread_count() {
-    let _guard = mode_guard();
     let mut rng = Rng::seed_from(42);
     for &(r, m, n) in SHAPES {
         // x is r×m, dy is r×n, out accumulates xᵀ·dy into m×n. Start from a
@@ -85,10 +71,8 @@ fn t_accum_blocked_is_bit_identical_to_naive_at_any_thread_count() {
         let dy = Mat::randn(r, n, 1.0, &mut rng);
         let seed_out = Mat::randn(m, n, 0.5, &mut rng);
 
-        set_kernel_mode(KernelMode::Naive);
         let mut want = seed_out.clone();
-        x.matmul_t_accum(&dy, &mut want);
-        set_kernel_mode(KernelMode::Blocked);
+        x.matmul_t_accum_naive(&dy, &mut want);
 
         for pool in pools() {
             let mut got = seed_out.clone();
@@ -105,15 +89,14 @@ fn t_accum_blocked_is_bit_identical_to_naive_at_any_thread_count() {
 
 #[test]
 fn bt_blocked_is_bit_identical_to_naive_at_any_thread_count() {
-    let _guard = mode_guard();
     let mut rng = Rng::seed_from(43);
     for &(m, k, n) in SHAPES {
         let a = Mat::randn(m, k, 1.0, &mut rng);
         let b = Mat::randn(n, k, 1.0, &mut rng);
 
-        set_kernel_mode(KernelMode::Naive);
+        // `matmul_bt` is its own reference: the global-pool call must
+        // match every explicit pool.
         let want = a.matmul_bt(&b);
-        set_kernel_mode(KernelMode::Blocked);
 
         for pool in pools() {
             let got = a.matmul_bt_on(&b, &pool);
@@ -143,25 +126,15 @@ fn drift(want: &Mat, got: &Mat) -> f32 {
 fn fast_matmul_is_thread_invariant_and_tracks_the_reference() {
     // The training kernels (`matmul_fast`, `matmul_bt_packed`,
     // `matmul_t_accum_fast`) are allowed to reassociate the reduction (and
-    // use FMA), so they are *not* bitwise-comparable to the naive loops —
-    // but they must still be bit-identical across thread counts, and in
-    // Naive mode they must route to the reference loop exactly.
-    let _guard = mode_guard();
+    // use FMA), so they are *not* bitwise-comparable to their references —
+    // but they must still be bit-identical across thread counts.
     let mut rng = Rng::seed_from(46);
     for &(m, k, n) in SHAPES {
         let a = Mat::randn(m, k, 1.0, &mut rng);
         let b = Mat::randn(k, n, 1.0, &mut rng);
 
-        set_kernel_mode(KernelMode::Naive);
         let mut want = Mat::zeros(m, n);
-        a.matmul_into(&b, &mut want);
-        let naive_arm = a.matmul_fast(&b);
-        assert_eq!(
-            want.as_slice(),
-            naive_arm.as_slice(),
-            "Naive-mode matmul_fast must be the reference loop exactly"
-        );
-        set_kernel_mode(KernelMode::Blocked);
+        a.matmul_into_naive(&b, &mut want);
 
         let first = a.matmul_fast_on(&b, &pools()[0]);
         assert!(
@@ -182,24 +155,14 @@ fn fast_matmul_is_thread_invariant_and_tracks_the_reference() {
 
 #[test]
 fn fast_t_accum_is_thread_invariant_and_tracks_the_reference() {
-    let _guard = mode_guard();
     let mut rng = Rng::seed_from(47);
     for &(r, m, n) in SHAPES {
         let x = Mat::randn(r, m, 1.0, &mut rng);
         let dy = Mat::randn(r, n, 1.0, &mut rng);
         let seed_out = Mat::randn(m, n, 0.5, &mut rng);
 
-        set_kernel_mode(KernelMode::Naive);
         let mut want = seed_out.clone();
-        x.matmul_t_accum(&dy, &mut want);
-        let mut naive_arm = seed_out.clone();
-        x.matmul_t_accum_fast(&dy, &mut naive_arm);
-        assert_eq!(
-            want.as_slice(),
-            naive_arm.as_slice(),
-            "Naive-mode matmul_t_accum_fast must be the reference loop exactly"
-        );
-        set_kernel_mode(KernelMode::Blocked);
+        x.matmul_t_accum_naive(&dy, &mut want);
 
         let mut first = seed_out.clone();
         x.matmul_t_accum_fast_on(&dy, &mut first, &pools()[0]);
@@ -222,21 +185,12 @@ fn fast_t_accum_is_thread_invariant_and_tracks_the_reference() {
 
 #[test]
 fn bt_packed_is_thread_invariant_and_tracks_the_reference() {
-    let _guard = mode_guard();
     let mut rng = Rng::seed_from(48);
     for &(m, k, n) in SHAPES {
         let a = Mat::randn(m, k, 1.0, &mut rng);
         let b = Mat::randn(n, k, 1.0, &mut rng);
 
-        set_kernel_mode(KernelMode::Naive);
         let want = a.matmul_bt(&b);
-        let naive_arm = a.matmul_bt_packed(&b);
-        assert_eq!(
-            want.as_slice(),
-            naive_arm.as_slice(),
-            "Naive-mode matmul_bt_packed must be the dot-form reference exactly"
-        );
-        set_kernel_mode(KernelMode::Blocked);
 
         let first = a.matmul_bt_packed_on(&b, &pools()[0]);
         assert!(
@@ -257,10 +211,8 @@ fn bt_packed_is_thread_invariant_and_tracks_the_reference() {
 
 #[test]
 fn global_mode_dispatch_matches_explicit_pool() {
-    // The public `matmul_into` under the default Blocked mode routes through
-    // the global pool; it must agree with an explicit pool bit-for-bit.
-    let _guard = mode_guard();
-    set_kernel_mode(KernelMode::Blocked);
+    // The public `matmul_into` runs on the global pool; it must agree with
+    // an explicit pool bit-for-bit.
     let mut rng = Rng::seed_from(44);
     let a = Mat::randn(37, 53, 1.0, &mut rng);
     let b = Mat::randn(53, 29, 1.0, &mut rng);
@@ -274,12 +226,12 @@ fn global_mode_dispatch_matches_explicit_pool() {
 
 #[test]
 fn zero_skip_is_preserved_so_inf_rows_stay_confined() {
-    // The naive loops skip `a[i][k] == 0.0` instead of accumulating
+    // The reference loops skip `a[i][k] == 0.0` instead of accumulating
     // `0.0 * b`, which matters when b holds non-finite values
     // (0·inf = NaN). The blocked kernels must skip identically: with one
-    // all-zero column of `a` paired against an all-inf row of `b`, every
-    // kernel in every mode must produce the same fully finite output.
-    let _guard = mode_guard();
+    // all-zero column of `a` paired against an all-inf row of `b`, the
+    // reference and the blocked kernel on every pool must produce the same
+    // fully finite output.
     let mut rng = Rng::seed_from(45);
     let (m, k, n) = (9, 13, 11);
     let mut a = Mat::randn(m, k, 1.0, &mut rng);
@@ -292,13 +244,11 @@ fn zero_skip_is_preserved_so_inf_rows_stay_confined() {
         b.set(poisoned, j, f32::INFINITY);
     }
 
-    set_kernel_mode(KernelMode::Naive);
     let mut want = Mat::zeros(m, n);
-    a.matmul_into(&b, &mut want);
-    set_kernel_mode(KernelMode::Blocked);
+    a.matmul_into_naive(&b, &mut want);
     assert!(
         want.as_slice().iter().all(|v| v.is_finite()),
-        "naive kernel lost its zero-skip"
+        "reference loop lost its zero-skip"
     );
 
     for pool in pools() {
@@ -319,10 +269,8 @@ fn zero_skip_is_preserved_so_inf_rows_stay_confined() {
     }
     x.set(3, poisoned, 0.0); // already zero via the column loop; explicit for clarity
 
-    set_kernel_mode(KernelMode::Naive);
     let mut want_t = Mat::zeros(k, n);
-    x.matmul_t_accum(&dy, &mut want_t);
-    set_kernel_mode(KernelMode::Blocked);
+    x.matmul_t_accum_naive(&dy, &mut want_t);
     assert!(want_t.row(poisoned).iter().all(|v| v.is_finite()));
 
     for pool in pools() {

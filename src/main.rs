@@ -23,12 +23,12 @@ use std::time::Duration;
 
 use pagpass::core::{
     run_with_listeners, CancelToken, CheckpointPolicy, DcGen, DcGenConfig, DcGenJournal,
-    DcGenOptions, InferenceSession, KernelChoice, ModelKind, PasswordModel, PasswordSink,
-    SchedulerKind, ServeConfig, TrainConfig, TrainOptions,
+    DcGenOptions, InferenceSession, ModelKind, PasswordModel, PasswordSink, SchedulerKind,
+    ServeConfig, TrainConfig, TrainOptions,
 };
 use pagpass::datasets::{clean, Site};
 use pagpass::eval::{hit_rate, repeat_rate};
-use pagpass::nn::{atomic_write, pool, set_kernel_mode, GptConfig};
+use pagpass::nn::{atomic_write, pool, set_kernel_mode, GptConfig, KernelMode};
 use pagpass::patterns::{Pattern, PatternDistribution};
 use pagpass::telemetry::{Field, LogFormat, Reporter, Telemetry};
 use pagpass::tokenizer::VOCAB_SIZE;
@@ -287,10 +287,10 @@ fn parse_site(name: &str) -> Result<Site, String> {
 /// Parses `--kernel` (default `pinned`) without installing it. Callers
 /// install the effective choice via [`set_kernel_mode`] once it is known —
 /// a `dcgen --resume` defers to the kernel recorded in the journal.
-fn parse_kernel(p: &Parsed) -> Result<KernelChoice, String> {
+fn parse_kernel(p: &Parsed) -> Result<KernelMode, String> {
     match p.flags.get("kernel") {
-        Some(v) => v.parse::<KernelChoice>().map_err(|e| e.to_string()),
-        None => Ok(KernelChoice::default()),
+        Some(v) => v.parse(),
+        None => Ok(KernelMode::default()),
     }
 }
 
@@ -708,7 +708,7 @@ fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     // Likewise the journal's kernel; install it before any session packs
     // weights.
     let ran_kernel = journal.as_ref().map_or(kernel, |j| j.kernel);
-    set_kernel_mode(ran_kernel.mode());
+    set_kernel_mode(ran_kernel);
     let report = match &journal {
         Some(j) => DcGen::resume(&model, j, &opts).map_err(|e| e.to_string())?,
         None => {
@@ -888,7 +888,7 @@ fn cmd_strength(p: &Parsed) -> Result<ExitCode, String> {
     let precise = p.flags.contains_key("precise");
     let in_path = p.flags.get("in");
     p.reject_unknown()?;
-    set_kernel_mode(kernel.mode());
+    set_kernel_mode(kernel);
     let model = PasswordModel::load(kind, model_path).map_err(|e| e.to_string())?;
     let mut passwords = p.positional.clone();
     if let Some(path) = in_path {
@@ -948,7 +948,7 @@ fn cmd_serve(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     };
     let http_port: u16 = p.num("http-port", 0)?;
     p.reject_unknown()?;
-    set_kernel_mode(kernel.mode());
+    set_kernel_mode(kernel);
     let model = PasswordModel::load(kind, model_path).map_err(|e| e.to_string())?;
     let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
