@@ -1,9 +1,10 @@
 //! Paired GEMM benchmark — reference loops vs cache-blocked kernels, and
 //! int8 decode.
 //!
-//! Times each matrix kernel (the order-preserving `matmul_into`,
-//! `matmul_t_accum` and the reassociating training kernels `matmul_fast`,
-//! `matmul_bt_packed`, `matmul_t_accum_fast`) against its reference — the
+//! Times each matrix kernel (the order-preserving `matmul_into`, also at
+//! the `lm_head` decode shape, `matmul_t_accum` and the reassociating
+//! training kernels `matmul_fast`, `matmul_bt_packed`,
+//! `matmul_t_accum_fast`) against its reference — the
 //! library's reference loops `Mat::matmul_into_naive` and
 //! `Mat::matmul_t_accum_naive`, or `matmul_bt` for `matmul_bt_packed` — and
 //! a KV-cached decode loop on the pinned f32 and the int8 kernels.
@@ -319,25 +320,41 @@ fn naive_t_accum(o: &Operands) -> Mat {
     out
 }
 
-/// Each gated kernel by name, with its reference.
-const KERNELS: [(&str, Kernel, Kernel); 5] = [
-    ("matmul_into", naive_into, |o| {
-        let mut out = Mat::zeros(o.a.rows(), o.b_kn.cols());
-        o.a.matmul_into(&o.b_kn, &mut out);
-        out
-    }),
+/// `matmul_into`, the pinned decode matmul.
+fn into(o: &Operands) -> Mat {
+    let mut out = Mat::zeros(o.a.rows(), o.b_kn.cols());
+    o.a.matmul_into(&o.b_kn, &mut out);
+    out
+}
+
+/// A leaf-sized decode batch through the `lm_head` of perfbench's model
+/// (width 48, 135 tokens): the 128-column smoke shape never reaches the
+/// masked column tail of `matmul_into`'s tiled kernel, this shape does.
+const LM_HEAD: (usize, usize, usize) = (16, 48, 135);
+
+/// A gated kernel: its name, the shape it runs at (`None`: the setup's
+/// shape), its reference and the kernel itself.
+type Gated = (&'static str, Option<(usize, usize, usize)>, Kernel, Kernel);
+
+/// Every gated kernel.
+const KERNELS: [Gated; 6] = [
+    ("matmul_into", None, naive_into, into),
+    ("matmul_into_lm_head", Some(LM_HEAD), naive_into, into),
     (
         "matmul_bt_packed",
+        None,
         |o| o.a.matmul_bt(&o.b_nk),
         |o| o.a.matmul_bt_packed(&o.b_nk),
     ),
-    ("matmul_fast", naive_into, |o| o.a.matmul_fast(&o.b_kn)),
-    ("matmul_t_accum", naive_t_accum, |o| {
+    ("matmul_fast", None, naive_into, |o| {
+        o.a.matmul_fast(&o.b_kn)
+    }),
+    ("matmul_t_accum", None, naive_t_accum, |o| {
         let mut out = Mat::zeros(o.x_mk.cols(), o.dy_mn.cols());
         o.x_mk.matmul_t_accum(&o.dy_mn, &mut out);
         out
     }),
-    ("matmul_t_accum_fast", naive_t_accum, |o| {
+    ("matmul_t_accum_fast", None, naive_t_accum, |o| {
         let mut out = Mat::zeros(o.x_mk.cols(), o.dy_mn.cols());
         o.x_mk.matmul_t_accum_fast(&o.dy_mn, &mut out);
         out
@@ -444,14 +461,18 @@ fn main() {
     );
 
     let mut rng = Rng::seed_from(9);
-    let operands: Vec<Operands> = KERNELS
+    let shapes: Vec<(usize, usize, usize)> = KERNELS
         .iter()
-        .map(|_| Operands::random(s.shape, &mut rng))
+        .map(|&(_, shape, _, _)| shape.unwrap_or(s.shape))
+        .collect();
+    let operands: Vec<Operands> = shapes
+        .iter()
+        .map(|&shape| Operands::random(shape, &mut rng))
         .collect();
     let bit_compat: Vec<bool> = KERNELS
         .iter()
         .zip(&operands)
-        .map(|(&(kernel, reference, run), o)| check_kernel(kernel, reference, run, o))
+        .map(|(&(kernel, _, reference, run), o)| check_kernel(kernel, reference, run, o))
         .collect();
     let decode = Decode::new(&s);
     let logits_max_rel_diff = decode.check();
@@ -460,7 +481,7 @@ fn main() {
         let mut pairs: Vec<Pair> = KERNELS
             .iter()
             .zip(&operands)
-            .map(|(&(_, reference, run), o)| Pair {
+            .map(|(&(_, _, reference, run), o)| Pair {
                 a: arm(s.reps, move || reference(o)),
                 b: arm(s.reps, move || run(o)),
             })
@@ -472,28 +493,30 @@ fn main() {
         interleaved(s.rounds, &mut pairs)
     };
 
-    let (m, k, n) = s.shape;
     let kernels: Vec<KernelTiming> = KERNELS
         .iter()
         .zip(&timings)
+        .zip(shapes)
         .zip(bit_compat)
-        .map(|((&(kernel, _, _), t), bit_compat_with_naive)| {
-            eprintln!(
-                "[gemm] {kernel:<20} {m}x{k}x{n}: naive {:>8.4}ms  blocked {:>8.4}ms  \
+        .map(
+            |(((&(kernel, _, _, _), t), (m, k, n)), bit_compat_with_naive)| {
+                eprintln!(
+                    "[gemm] {kernel:<20} {m}x{k}x{n}: naive {:>8.4}ms  blocked {:>8.4}ms  \
                  speedup {:.3}x",
-                t.a_ms, t.b_ms, t.ratio
-            );
-            KernelTiming {
-                kernel,
-                m,
-                k,
-                n,
-                naive_ms: t.a_ms,
-                blocked_ms: t.b_ms,
-                speedup: t.ratio,
-                bit_compat_with_naive,
-            }
-        })
+                    t.a_ms, t.b_ms, t.ratio
+                );
+                KernelTiming {
+                    kernel,
+                    m,
+                    k,
+                    n,
+                    naive_ms: t.a_ms,
+                    blocked_ms: t.b_ms,
+                    speedup: t.ratio,
+                    bit_compat_with_naive,
+                }
+            },
+        )
         .collect();
 
     let t = &timings[KERNELS.len()];

@@ -174,6 +174,7 @@ mod tests {
         let baseline = extract_speedups(&data).expect("baseline parses");
         for key in [
             "matmul_into",
+            "matmul_into_lm_head",
             "matmul_bt_packed",
             "matmul_fast",
             "matmul_t_accum",

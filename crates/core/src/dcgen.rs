@@ -9,6 +9,12 @@ use crate::journal::DcGenJournal;
 use crate::sched::{self, pool::PoolState, SchedulerKind};
 use crate::{CoreError, ModelKind, PasswordModel};
 
+/// The most task workers a run may ask for, each one an OS thread. The
+/// CLI refuses a larger `--workers`, and [`DcGenJournal::from_text`]
+/// refuses a journal that declares more, because a resumed run spawns
+/// exactly that many.
+pub const MAX_WORKERS: usize = 256;
+
 /// Configuration of a D&C-GEN run (paper Algorithm 1 plus the §III-C3
 /// optimizations).
 #[derive(Debug, Clone, PartialEq)]
@@ -30,8 +36,8 @@ pub struct DcGenConfig {
     /// Ablation switch: allocate the budget uniformly across patterns
     /// instead of by their empirical probability.
     pub uniform_patterns: bool,
-    /// Concurrent task workers (paper optimization 3). With `1` the run is
-    /// fully deterministic.
+    /// Concurrent task workers (paper optimization 3), at most
+    /// [`MAX_WORKERS`]. With `1` the run is fully deterministic.
     pub workers: usize,
     /// How many times a panicking task is retried before it is abandoned
     /// and recorded in [`DcGenReport::failed_tasks`].

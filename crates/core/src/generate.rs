@@ -38,21 +38,34 @@ pub(crate) fn sample_batched(
     batch: usize,
     rng: &mut Rng,
 ) -> Vec<Vec<TokenId>> {
-    sample_batched_primed(gpt, None, vocab, plan, n, batch, rng, &mut |b| {
-        let mut state = gpt.begin_decode(b);
-        let mut logits = Mat::zeros(0, 0);
-        for &tok in &plan.prefix {
-            logits = gpt.decode_step(&vec![tok; b], &mut state);
-        }
-        (state, logits)
-    })
+    let mut state = gpt.begin_decode(0);
+    sample_batched_primed(
+        gpt,
+        None,
+        vocab,
+        plan,
+        n,
+        batch,
+        rng,
+        &mut state,
+        &mut |b, state| {
+            *state = gpt.begin_decode(b);
+            let mut logits = Mat::zeros(0, 0);
+            for &tok in &plan.prefix {
+                logits = gpt.decode_step(&vec![tok; b], state);
+            }
+            logits
+        },
+    )
 }
 
-/// [`sample_batched`] with an explicit primer: `prime(b)` must return a
-/// decode state advanced past the prompt for `b` rows plus the logits of
-/// its final prompt token. The KV-cached inference session uses this to
-/// broadcast an already-computed batch-1 prompt instead of re-feeding it
-/// per row (bit-identical — see `crate::inference`).
+/// [`sample_batched`] with an explicit primer and a borrowed decode state:
+/// `prime(b, state)` must leave `state` advanced past the prompt for `b`
+/// rows and return the logits of its final prompt token. Every batch
+/// samples in that one `state`. The KV-cached inference session uses this
+/// to broadcast an already-computed batch-1 prompt into a state it owns,
+/// instead of re-feeding the prompt per row into a fresh one
+/// (bit-identical — see `crate::inference`).
 ///
 /// When `quant` is present every decode step routes through the packed
 /// int8 weights; the primer must have produced its state and logits under
@@ -70,7 +83,8 @@ pub(crate) fn sample_batched_primed(
     n: usize,
     batch: usize,
     rng: &mut Rng,
-    prime: &mut dyn FnMut(usize) -> (DecodeState, Mat),
+    state: &mut DecodeState,
+    prime: &mut dyn FnMut(usize, &mut DecodeState) -> Mat,
 ) -> Vec<Vec<TokenId>> {
     let ctx = gpt.config().ctx_len;
     assert!(
@@ -84,7 +98,7 @@ pub(crate) fn sample_batched_primed(
     let mut remaining = n;
     while remaining > 0 {
         let b = remaining.min(batch);
-        let (state, logits) = prime(b);
+        let logits = prime(b, state);
         out.extend(sample_one_batch(
             gpt, quant, vocab, plan, b, rng, state, logits,
         ));
@@ -101,7 +115,7 @@ fn sample_one_batch(
     plan: &SamplePlan<'_>,
     b: usize,
     rng: &mut Rng,
-    mut state: DecodeState,
+    state: &mut DecodeState,
     mut logits: Mat,
 ) -> Vec<Vec<TokenId>> {
     debug_assert_eq!(state.pos(), plan.prefix.len(), "state must be primed");
@@ -134,7 +148,7 @@ fn sample_one_batch(
         if all_done || step + 1 == plan.max_new {
             break;
         }
-        logits = gpt.decode_step_with(quant, &next_tokens, &mut state);
+        logits = gpt.decode_step_with(quant, &next_tokens, state);
     }
     let _ = vocab; // vocabulary is part of the contract; ids map through it
     sequences

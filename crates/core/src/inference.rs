@@ -24,10 +24,10 @@
 //! the rows before it, so truncating to a shared prefix and re-feeding a
 //! different suffix produces exactly the floats a fresh decode of the new
 //! sequence would. The same argument covers
-//! [`DecodeState::broadcast`](pagpass_nn::KvCache::broadcast): attention
-//! rows never interact across a batch, so replicating a batch-1 prefix
-//! cache equals feeding the prefix to every row. The cached-vs-uncached
-//! tests in this module assert `==` on logits, not an epsilon.
+//! [`DecodeState::broadcast_into`]: attention rows never interact across a
+//! batch, so replicating a batch-1 prefix cache equals feeding the prefix
+//! to every row. The cached-vs-uncached tests in this module assert `==`
+//! on logits, not an epsilon.
 
 use pagpass_nn::{softmax_in_place, DecodeState, KernelMode, Mat, QuantizedGpt, Rng};
 use pagpass_patterns::Pattern;
@@ -138,14 +138,20 @@ impl RulePrefix {
 /// the module docs), they just skip recomputing shared prefixes.
 ///
 /// Sessions are cheap relative to the model but hold `n_layers` KV caches
-/// of `ctx_len` positions; D&C-GEN creates one per worker thread and
-/// threads it through every split and leaf that worker executes.
+/// of `ctx_len` positions, plus a wide state that every leaf batch and
+/// every scoring wave broadcasts the batch-1 prompt into, so its buffers
+/// are allocated once per session rather than once per batch. D&C-GEN
+/// creates one session per worker thread and threads it through every
+/// split and leaf that worker executes.
 pub struct InferenceSession<'m> {
     model: &'m PasswordModel,
     /// Pack-once int8 decode weights, present iff the session was built
     /// under [`KernelMode::Quantized`].
     quant: Option<QuantizedGpt>,
     state: DecodeState,
+    /// The batch state leaves and scoring waves decode in, refilled by
+    /// [`DecodeState::broadcast_into`] from `state` for each batch.
+    wide: DecodeState,
     /// Tokens currently in the cache; `state.pos() == tokens.len()`.
     tokens: Vec<TokenId>,
     /// Logits after the last fed token (empty until the first feed).
@@ -191,6 +197,7 @@ impl<'m> InferenceSession<'m> {
             model,
             quant,
             state: model.gpt().begin_decode(1),
+            wide: model.gpt().begin_decode(0),
             tokens: Vec::new(),
             last_logits: Vec::new(),
             reuse_counter: tel.counter(PREFIX_REUSE_COUNTER),
@@ -310,8 +317,8 @@ impl<'m> InferenceSession<'m> {
     /// Continuation sampling for a D&C-GEN leaf: `n` passwords conforming
     /// to `pattern` that start with `prefix_chars`. The session advances
     /// its batch-1 cache to the leaf's prompt once, then every sampling
-    /// batch is primed by broadcasting that cache — the prompt is never
-    /// recomputed per batch row.
+    /// batch is primed by broadcasting that cache into the session's wide
+    /// state — the prompt is never recomputed per batch row.
     ///
     /// # Errors
     ///
@@ -361,13 +368,15 @@ impl<'m> InferenceSession<'m> {
             n,
             PasswordModel::GEN_BATCH,
             rng,
-            &mut |b| {
+            &mut self.wide,
+            &mut |b, wide| {
                 // Every batch row starts from the cached prompt: count the
                 // row-steps the broadcast saved.
                 let hits = (self.state.pos() * b) as u64;
                 self.reused += hits;
                 self.reuse_counter.add(hits);
-                (self.state.broadcast(b), replicate_row(&self.last_logits, b))
+                self.state.broadcast_into(b, wide);
+                replicate_row(&self.last_logits, b)
             },
         );
         Ok(sequences
@@ -425,7 +434,8 @@ impl<'m> InferenceSession<'m> {
     ///
     /// Every rule starts with `<BOS>`, so the batch is assembled by
     /// seeking this session to `<BOS>` once and broadcasting that cache
-    /// across the batch ([`DecodeState::broadcast`]); rows shorter than
+    /// across the batch into the session's wide state
+    /// ([`DecodeState::broadcast_into`]); rows shorter than
     /// the longest rule re-feed `<BOS>` as an inert filler once their own
     /// tokens run out (attention rows never interact across a batch, so a
     /// filler feed cannot perturb any other row, and a finished row's own
@@ -464,7 +474,7 @@ impl<'m> InferenceSession<'m> {
         // `<BOS>` prompt (bit-exact, possibly reused from the previous
         // wave) and replicate it across the batch.
         self.seek(&[Vocab::BOS]);
-        let mut wide = self.state.broadcast(b);
+        self.state.broadcast_into(b, &mut self.wide);
         let saved = (self.state.pos() * b) as u64;
         self.reused += saved;
         self.reuse_counter.add(saved);
@@ -486,10 +496,10 @@ impl<'m> InferenceSession<'m> {
                     .iter()
                     .map(|rule| rule.get(pos).copied().unwrap_or(Vocab::BOS))
                     .collect();
-                logits = self
-                    .model
-                    .gpt()
-                    .decode_step_with(self.quant.as_ref(), &tokens, &mut wide);
+                logits =
+                    self.model
+                        .gpt()
+                        .decode_step_with(self.quant.as_ref(), &tokens, &mut self.wide);
                 self.computed += b as u64;
             }
         }
@@ -696,6 +706,28 @@ mod tests {
         for pw in &a {
             assert!(pw.starts_with("ab"), "{pw}");
             assert!(pattern.matches(pw), "{pw}");
+        }
+    }
+
+    #[test]
+    fn wide_state_reuse_matches_fresh_sessions() {
+        // One session runs a full 128-row leaf batch, then a 3-row leaf on
+        // a shorter prompt in the same wide state, whose rows past the new
+        // prompt still hold the first leaf's K/V. Each leaf must equal the
+        // same leaf from a fresh session.
+        let model = tiny(ModelKind::PagPassGpt);
+        let pattern: Pattern = "L4N2".parse().unwrap();
+        let leaves = [("abc", PasswordModel::GEN_BATCH, 11), ("", 3, 12)];
+        let mut session = InferenceSession::new(&model);
+        for (prefix, n, seed) in leaves {
+            let reused = session
+                .generate_leaf(&pattern, prefix, n, 1.0, &mut Rng::seed_from(seed))
+                .unwrap();
+            let fresh = InferenceSession::new(&model)
+                .generate_leaf(&pattern, prefix, n, 1.0, &mut Rng::seed_from(seed))
+                .unwrap();
+            assert_eq!(reused.len(), n);
+            assert_eq!(reused, fresh, "leaf {prefix:?} x{n}");
         }
     }
 

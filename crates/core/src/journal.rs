@@ -23,7 +23,7 @@ use std::path::Path;
 use pagpass_nn::{atomic_write, crc32, KernelMode};
 use pagpass_patterns::Pattern;
 
-use crate::dcgen::FailedTask;
+use crate::dcgen::{FailedTask, MAX_WORKERS};
 use crate::sched::SchedulerKind;
 use crate::CoreError;
 
@@ -237,7 +237,12 @@ impl DcGenJournal {
             u32::from_str_radix(config[2], 16).map_err(|_| bad("bad temperature bits"))?,
         );
         let seed = uint(config[3])?;
-        let workers = uint(config[4])? as usize;
+        // A resumed run spawns one thread per worker, so the count must not
+        // be trusted beyond the bound a fresh run is held to.
+        let workers = usize::try_from(uint(config[4])?)
+            .ok()
+            .filter(|&w| w <= MAX_WORKERS)
+            .ok_or_else(|| bad(&format!("worker count above {MAX_WORKERS}")))?;
         let max_task_retries = uint(config[5])? as u32;
         let journal_every = uint(config[6])?;
 
@@ -709,6 +714,31 @@ crc 98298845
     #[test]
     fn inflated_failed_count_is_rejected() {
         assert!(matches!(inflated("failed"), Err(CoreError::Journal(_))));
+    }
+
+    #[test]
+    fn worker_count_above_the_bound_is_rejected() {
+        // Loads `sample()` declaring `workers` workers, CRC recomputed.
+        let with_workers = |workers: u64| {
+            DcGenJournal::from_text(&resigned(&sample(), |l| match l.strip_prefix("config ") {
+                Some(rest) => {
+                    let mut fields: Vec<String> = rest.split(' ').map(str::to_owned).collect();
+                    fields[4] = workers.to_string();
+                    format!("config {}", fields.join(" "))
+                }
+                None => l.to_string(),
+            }))
+        };
+        assert!(matches!(
+            with_workers(1_000_000),
+            Err(CoreError::Journal(msg)) if msg.contains("worker count")
+        ));
+        assert!(with_workers(u64::MAX).is_err());
+        // The bound itself still loads.
+        assert_eq!(
+            with_workers(MAX_WORKERS as u64).unwrap().workers,
+            MAX_WORKERS
+        );
     }
 
     #[test]

@@ -59,7 +59,9 @@ mod trainer;
 
 pub use checkpoint::{TrainCheckpoint, TrainProgress};
 pub use control::{CancelToken, Deadline, FaultPlan};
-pub use dcgen::{DcGen, DcGenConfig, DcGenOptions, DcGenReport, FailedTask, PasswordSink};
+pub use dcgen::{
+    DcGen, DcGenConfig, DcGenOptions, DcGenReport, FailedTask, PasswordSink, MAX_WORKERS,
+};
 pub use error::CoreError;
 pub use inference::{InferenceSession, RulePrefix, FORWARD_MS_HISTOGRAM, PREFIX_REUSE_COUNTER};
 pub use journal::{DcGenJournal, JournalTask};

@@ -339,6 +339,13 @@ fn unpack_head(dst: &mut Mat, src: &Mat, row0: usize, col: usize) {
 /// Stores keys and values for `batch` parallel sequences up to `ctx`
 /// positions. One cache belongs to one attention layer; [`crate::Gpt`]
 /// bundles one per layer.
+///
+/// Only the first [`len`](Self::len) positions of each row are meaningful.
+/// Positions past it may hold stale K/V — left by
+/// [`truncate_to`](Self::truncate_to), or by an earlier, longer or wider
+/// use of a buffer that [`broadcast_into`](Self::broadcast_into) reuses —
+/// and are never read before [`step`](SelfAttention::step) overwrites them,
+/// because a step writes its own position before attending over it.
 #[derive(Debug, Clone)]
 pub struct KvCache {
     batch: usize,
@@ -426,28 +433,41 @@ impl KvCache {
         self.len = len;
     }
 
-    /// Replicates a single-sequence cache across `batch` parallel rows.
+    /// Replicates this single-sequence cache across `batch` parallel rows of
+    /// `dst`, reusing `dst`'s buffers.
     ///
-    /// Every output row holds the same K/V values, which is exactly what
-    /// feeding the same prefix to each row of a batch-`batch` decode
-    /// produces — the attention step is row-independent — so broadcasting
-    /// is bit-identical to priming each row separately.
+    /// Every target row receives this cache's filled prefix, which is
+    /// exactly what feeding the same prefix to each row of a batch-`batch`
+    /// decode produces — the attention step is row-independent — so
+    /// broadcasting is bit-identical to priming each row separately.
+    ///
+    /// Only the `len` filled positions of each row are copied; `dst` grows
+    /// its buffers when they are too small and otherwise keeps them. Rows
+    /// past `len` may hold stale K/V from an earlier, longer or wider use,
+    /// and that is safe for the reason [`truncate_to`](Self::truncate_to)
+    /// gives: [`step`](SelfAttention::step) writes position `t` before any
+    /// read of it.
     ///
     /// # Panics
     ///
     /// Panics if this cache holds more than one sequence.
-    #[must_use]
-    pub fn broadcast(&self, batch: usize) -> KvCache {
+    pub fn broadcast_into(&self, batch: usize, dst: &mut KvCache) {
         assert_eq!(self.batch, 1, "broadcast requires a single-sequence cache");
-        let mut out = KvCache::new(batch, self.ctx, self.dim);
-        out.len = self.len;
+        let need = batch * self.ctx * self.dim;
+        if dst.k.len() < need {
+            dst.k = vec![0.0; need];
+            dst.v = vec![0.0; need];
+        }
+        dst.batch = batch;
+        dst.ctx = self.ctx;
+        dst.dim = self.dim;
+        dst.len = self.len;
         let filled = self.len * self.dim;
         for b in 0..batch {
             let o = b * self.ctx * self.dim;
-            out.k[o..o + filled].copy_from_slice(&self.k[..filled]);
-            out.v[o..o + filled].copy_from_slice(&self.v[..filled]);
+            dst.k[o..o + filled].copy_from_slice(&self.k[..filled]);
+            dst.v[o..o + filled].copy_from_slice(&self.v[..filled]);
         }
-        out
     }
 
     fn k_row(&self, b: usize, t: usize) -> &[f32] {
@@ -573,6 +593,57 @@ mod tests {
             for (a, b) in y1.row(0).iter().zip(yb.row(i)) {
                 assert!((a - b).abs() < 1e-5);
             }
+        }
+    }
+
+    #[test]
+    fn broadcast_into_reuses_buffers_and_ignores_stale_rows() {
+        let (ctx, dim) = (8, 8);
+        let attn = SelfAttention::new(dim, 2, &mut Rng::seed_from(41));
+        let mut rng = Rng::seed_from(6);
+        // A batch-1 cache primed with `len` random token activations.
+        let mut prime = |len: usize| {
+            let xs: Vec<Mat> = (0..len)
+                .map(|_| Mat::randn(1, dim, 1.0, &mut rng))
+                .collect();
+            let mut cache = KvCache::new(1, ctx, dim);
+            for x in &xs {
+                let _ = attn.step(x, &mut cache);
+                cache.advance();
+            }
+            (xs, cache)
+        };
+        let (_, long) = prime(5);
+        let (short_xs, short) = prime(2);
+        let steps: Vec<Mat> = (0..4)
+            .map(|i| Mat::randn(if i == 0 { 5 } else { 3 }, dim, 1.0, &mut rng))
+            .collect();
+
+        // A long prefix at batch 5, stepped once: positions 0..6 of every
+        // row hold K/V that the short prefix below must never see.
+        let mut wide = KvCache::new(0, ctx, dim);
+        long.broadcast_into(5, &mut wide);
+        let _ = attn.step(&steps[0], &mut wide);
+        wide.advance();
+        let k_addr = wide.k.as_ptr();
+        short.broadcast_into(3, &mut wide);
+        assert_eq!(wide.k.as_ptr(), k_addr, "a large enough target keeps its K");
+        assert_eq!((wide.batch(), wide.len()), (3, 2));
+
+        // The reference: a fresh batch-3 cache fed the short prefix on
+        // every row, as `Gpt::begin_decode` would start it.
+        let mut fresh = KvCache::new(3, ctx, dim);
+        for x in &short_xs {
+            let rows = Mat::from_rows(3, dim, x.row(0).repeat(3));
+            let _ = attn.step(&rows, &mut fresh);
+            fresh.advance();
+        }
+        for x in &steps[1..] {
+            let got = attn.step(x, &mut wide);
+            let want = attn.step(x, &mut fresh);
+            assert_eq!(got.as_slice(), want.as_slice(), "a stale row leaked");
+            wide.advance();
+            fresh.advance();
         }
     }
 

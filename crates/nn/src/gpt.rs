@@ -213,19 +213,27 @@ impl DecodeState {
         self.pos = len;
     }
 
-    /// Replicates a single-sequence state across `batch` parallel rows,
-    /// bit-identically to feeding the same prefix to every row of a
-    /// fresh batch-`batch` decode (see [`KvCache::broadcast`]).
+    /// Replicates this single-sequence state across `batch` parallel rows
+    /// of `dst`, bit-identically to feeding the same prefix to every row of
+    /// a fresh batch-`batch` decode. `dst`'s buffers are reused whenever
+    /// they are large enough, and only the filled prefix is copied (see
+    /// [`KvCache::broadcast_into`]). Any state of the same model is a valid
+    /// target, including one from [`Gpt::begin_decode`] at batch 0.
     ///
     /// # Panics
     ///
-    /// Panics if this state holds more than one sequence.
-    #[must_use]
-    pub fn broadcast(&self, batch: usize) -> DecodeState {
-        DecodeState {
-            caches: self.caches.iter().map(|c| c.broadcast(batch)).collect(),
-            pos: self.pos,
+    /// Panics if this state holds more than one sequence or `dst` belongs
+    /// to a model with a different layer count.
+    pub fn broadcast_into(&self, batch: usize, dst: &mut DecodeState) {
+        assert_eq!(
+            self.caches.len(),
+            dst.caches.len(),
+            "broadcast target belongs to a different model"
+        );
+        for (src, cache) in self.caches.iter().zip(&mut dst.caches) {
+            src.broadcast_into(batch, cache);
         }
+        dst.pos = self.pos;
     }
 }
 
@@ -742,7 +750,16 @@ mod tests {
         for &tok in &prefix {
             let _ = model.decode_step(&[tok], &mut one);
         }
-        let mut wide = one.broadcast(3);
+        // A target that first held a longer prefix at a wider batch: its
+        // stale rows must not leak into the new broadcast.
+        let mut wide = model.begin_decode(0);
+        let mut long = model.begin_decode(1);
+        for &tok in &[7u32, 3, 3, 6, 1] {
+            let _ = model.decode_step(&[tok], &mut long);
+        }
+        long.broadcast_into(5, &mut wide);
+        let _ = model.decode_step(&[2, 4, 6, 8, 10], &mut wide);
+        one.broadcast_into(3, &mut wide);
         assert_eq!(wide.batch(), 3);
         assert_eq!(wide.pos(), prefix.len());
         // A reference state primed the slow way: every row fed the prefix.
@@ -751,9 +768,11 @@ mod tests {
             let _ = model.decode_step(&[tok, tok, tok], &mut refstate);
         }
         // Step both with distinct per-row tokens; logits must agree bitwise.
-        let a = model.decode_step(&[1, 5, 8], &mut wide);
-        let b = model.decode_step(&[1, 5, 8], &mut refstate);
-        assert_eq!(a.as_slice(), b.as_slice(), "broadcast must be exact");
+        for step in [[1, 5, 8], [0, 2, 11]] {
+            let a = model.decode_step(&step, &mut wide);
+            let b = model.decode_step(&step, &mut refstate);
+            assert_eq!(a.as_slice(), b.as_slice(), "broadcast must be exact");
+        }
     }
 
     #[test]

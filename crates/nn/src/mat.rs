@@ -320,6 +320,8 @@ impl Mat {
         let chunks = row_chunks(pool.threads(), m, k.saturating_mul(n));
         let block = m.div_ceil(chunks.max(1));
         let out_ptr = RowsPtr(out.data.as_mut_ptr());
+        // Dispatch once per call; both arms compute the same bits.
+        let avx2 = crate::qmat::use_avx2();
         pool.run(chunks, &|c| {
             let i0 = c * block;
             let i1 = ((c + 1) * block).min(m);
@@ -332,6 +334,13 @@ impl Mat {
             // current frame.
             let out_rows =
                 unsafe { std::slice::from_raw_parts_mut(out_ptr.at(i0 * n), (i1 - i0) * n) };
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                // SAFETY: `use_avx2` confirmed the cpuid feature.
+                unsafe { tiled::matmul_rows(self, other, i0, i1, out_rows) };
+                return;
+            }
+            let _ = avx2;
             matmul_rows_blocked(self, other, i0, i1, out_rows);
         });
     }
@@ -769,6 +778,148 @@ fn matmul_rows_blocked(a: &Mat, b: &Mat, i0: usize, i1: usize, out_rows: &mut [f
             }
         }
         kt = kt_end;
+    }
+}
+
+/// The AVX2 arm of [`Mat::matmul_into`]: a register-tiled micro-kernel with
+/// the per-element contract of [`matmul_rows_blocked`], its portable arm.
+///
+/// A tile holds `R` output rows × `8·V` columns in `R·V` accumulators for
+/// the whole k reduction and loads each `b[kk]` slice once for all `R`
+/// rows, where the portable loop re-streams `b` once per output row. Per
+/// element it still performs exactly the reference's operations:
+/// `acc = acc + a[i][kk] · b[kk][j]` for ascending `kk` from `+0.0`, the
+/// product and the sum each rounded (`vmulps` then `vaddps`, never an FMA),
+/// and an `a[i][kk]` of either zero skipping that k for row `i` only. So
+/// its bits equal [`Mat::matmul_into_naive`]'s.
+#[cfg(target_arch = "x86_64")]
+mod tiled {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_loadu_ps, _mm256_maskload_ps,
+        _mm256_maskstore_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
+        _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+
+    use super::Mat;
+
+    /// Rows `[i0, i1)` of `a · b` into `out_rows`. Panels of four rows take
+    /// 16-column tiles; the one to three rows left over take wider tiles,
+    /// so every tile keeps eight independent add chains in flight.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn matmul_rows(a: &Mat, b: &Mat, i0: usize, i1: usize, out_rows: &mut [f32]) {
+        let (k, n) = (a.cols, b.cols);
+        assert!(i1 <= a.rows && b.rows == k && out_rows.len() == (i1 - i0) * n);
+        let mut i = i0;
+        while i + 4 <= i1 {
+            panel::<4, 2>(a, b, i, &mut out_rows[(i - i0) * n..]);
+            i += 4;
+        }
+        let rest = &mut out_rows[(i - i0) * n..];
+        match i1 - i {
+            3 => panel::<3, 2>(a, b, i, rest),
+            2 => panel::<2, 4>(a, b, i, rest),
+            1 => panel::<1, 8>(a, b, i, rest),
+            _ => {}
+        }
+    }
+
+    /// Rows `[i, i + R)` of `a · b` into the first `R` rows of `out`, tile
+    /// by tile; a final partial tile goes through lane masks.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn panel<const R: usize, const V: usize>(a: &Mat, b: &Mat, i: usize, out: &mut [f32]) {
+        let n = b.cols;
+        let a_rows = &a.data[i * a.cols..(i + R) * a.cols];
+        let out = &mut out[..R * n];
+        let mut j = 0;
+        while j + 8 * V <= n {
+            // SAFETY: `j + 8·V ≤ n` keeps every unmasked lane inside its
+            // row of `b` and of `out`, and `a_rows`/`out` hold `R` rows.
+            unsafe { tile::<R, V, false>(a_rows, a.cols, &b.data, n, j, out) };
+            j += 8 * V;
+        }
+        if j < n {
+            // SAFETY: `j < n`; the masks confine every access to the
+            // columns `[j, n)` of each row.
+            unsafe { tile::<R, V, true>(a_rows, a.cols, &b.data, n, j, out) };
+        }
+    }
+
+    /// One `R × 8·V` tile at columns `[j, j + 8·V)`, clipped to `n` through
+    /// lane masks when `MASKED`.
+    ///
+    /// # Safety
+    ///
+    /// `a_rows` holds `R` rows of `k`, `b` is `k × n`, `out` holds `R` rows
+    /// of `n`, `j < n`, and without `MASKED`, `j + 8·V ≤ n`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(
+        a_rows: &[f32],
+        k: usize,
+        b: &[f32],
+        n: usize,
+        j: usize,
+        out: &mut [f32],
+    ) {
+        debug_assert!(a_rows.len() == R * k && b.len() == k * n && out.len() == R * n);
+        // Vector `v` covers columns `j + 8v ..`: `live` vectors start inside
+        // the row, and `masks[v]` enables the lanes that stay inside it.
+        let width = n - j;
+        let live = if MASKED { width.div_ceil(8).min(V) } else { V };
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut masks = [_mm256_set1_epi32(-1); V];
+        if MASKED {
+            for (v, mask) in masks.iter_mut().enumerate() {
+                let left = width.saturating_sub(8 * v).min(8) as i32;
+                *mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(left), lanes);
+            }
+        }
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for kk in 0..k {
+            let row = b[kk * n..].as_ptr().wrapping_add(j);
+            let mut bv = [_mm256_setzero_ps(); V];
+            for (v, (slot, &mask)) in bv.iter_mut().zip(&masks).enumerate().take(live) {
+                // SAFETY: vector `v` starts at column `j + 8v < n` of row
+                // `kk`; unmasked it ends by column `n` (caller), masked it
+                // reads only the lanes before `n`.
+                *slot = unsafe {
+                    if MASKED {
+                        _mm256_maskload_ps(row.add(8 * v), mask)
+                    } else {
+                        _mm256_loadu_ps(row.add(8 * v))
+                    }
+                };
+            }
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                // SAFETY: `r < R` and `kk < k` index inside `a_rows`.
+                let x = unsafe { *a_rows.get_unchecked(r * k + kk) };
+                if x != 0.0 {
+                    let xv = _mm256_set1_ps(x);
+                    for (sum, &bvv) in acc_r.iter_mut().zip(&bv) {
+                        *sum = _mm256_add_ps(*sum, _mm256_mul_ps(xv, bvv));
+                    }
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            let dst = out[r * n..].as_mut_ptr().wrapping_add(j);
+            for (v, (&sum, &mask)) in acc_r.iter().zip(&masks).enumerate().take(live) {
+                // SAFETY: the same columns of row `r` of `out` as the loads
+                // read from `b`.
+                unsafe {
+                    if MASKED {
+                        _mm256_maskstore_ps(dst.add(8 * v), mask, sum);
+                    } else {
+                        _mm256_storeu_ps(dst.add(8 * v), sum);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -47,9 +47,10 @@ const TILE: usize = 16;
 /// `i8` pairs per block — `vpmaddwd` consumes two adjacent values per lane.
 const PAIRS: usize = QBLOCK / 2;
 
-/// Environment variable that forces the portable scalar int8 path even when
-/// AVX2 is available (set to anything but `0`). The CI equivalence job runs
-/// one leg under it to prove SIMD and portable dispatch agree bitwise.
+/// Environment variable that forces the portable scalar paths — the int8
+/// kernels and the pinned f32 matmul — even when AVX2 is available (set to
+/// anything but `0`). The CI equivalence job runs one leg under it to prove
+/// SIMD and portable dispatch agree bitwise.
 pub const FORCE_PORTABLE_ENV: &str = "PAGPASS_FORCE_PORTABLE";
 
 /// Lazily seeded from [`FORCE_PORTABLE_ENV`]; flippable in-process by tests
@@ -62,16 +63,17 @@ fn force_portable_flag() -> &'static AtomicBool {
     })
 }
 
-/// Forces (or re-allows) portable scalar dispatch for the int8 kernels,
-/// process-wide. Dispatch never changes results — the integer block dots
-/// are exact — only speed; tests flip this to assert exactly that.
+/// Forces (or re-allows) portable scalar dispatch for the int8 kernels and
+/// the pinned f32 matmul, process-wide. Dispatch never changes results —
+/// the integer block dots are exact, and both f32 arms round each product
+/// and sum alike — only speed; tests flip this to assert exactly that.
 pub fn set_force_portable(on: bool) {
     // ORD: a dispatch preference, not a synchronization point; a reader
     // observing it one matmul late computes the same bits anyway.
     force_portable_flag().store(on, Ordering::Relaxed);
 }
 
-/// Whether the portable scalar int8 path is currently forced.
+/// Whether the portable scalar paths are currently forced.
 #[must_use]
 pub fn force_portable() -> bool {
     // ORD: see `set_force_portable` — stale reads are benign.
@@ -520,10 +522,12 @@ unsafe impl Send for ColsPtr {}
 // SAFETY: as above — shared access only ever touches disjoint elements.
 unsafe impl Sync for ColsPtr {}
 
-/// Whether the AVX2 int8 path should run: the CPU has the feature and
-/// portable dispatch is not forced. Both paths return the same exact
-/// integers (the module-docs overflow argument), so this picks speed only.
-fn use_avx2() -> bool {
+/// Whether the AVX2 paths should run: the CPU has the feature and
+/// portable dispatch is not forced. Both int8 paths return the same exact
+/// integers (the module-docs overflow argument), and the pinned f32 matmul
+/// performs the same per-element operations on either path, so this picks
+/// speed only.
+pub(crate) fn use_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         !force_portable() && is_x86_feature_detected!("avx2")

@@ -11,10 +11,15 @@
 //! and [`Mat::matmul_t_accum_naive`]. `matmul_bt` is its own reference (one
 //! dot loop per row, however the rows are chunked), so it is checked for
 //! thread-count invariance; it in turn is the reference of
-//! `matmul_bt_packed`.
+//! `matmul_bt_packed`. `matmul_into` has two arms, the AVX2 register-tiled
+//! kernel and the portable blocked loop; the decode-shape tests below run
+//! both, flipping the dispatch with `set_force_portable`.
+
+use std::sync::{Mutex, PoisonError};
 
 use pagpass_nn::gradcheck::GradCheck;
-use pagpass_nn::{pool, Mat, Rng, SelfAttention, ThreadPool};
+use pagpass_nn::qmat::force_portable;
+use pagpass_nn::{pool, set_force_portable, Mat, Rng, SelfAttention, ThreadPool};
 
 /// Shapes chosen to stress every edge of the blocked kernels: the 1×1
 /// degenerate case, single-row/column operands, primes that leave a 1–3
@@ -36,6 +41,112 @@ const SHAPES: &[(usize, usize, usize)] = &[
 
 fn pools() -> Vec<ThreadPool> {
     vec![ThreadPool::new(1), ThreadPool::new(2), ThreadPool::new(4)]
+}
+
+/// Decode batch sizes: one, a partial 4-row panel, one full panel, a full
+/// panel plus one row, and a leaf-sized batch of four panels.
+const DECODE_ROWS: &[usize] = &[1, 3, 4, 5, 16];
+
+/// The `(k, n)` of every decode matmul in perfbench's model (width 48,
+/// 135-token vocabulary): qkv, proj, fc1, fc2 and `lm_head`, whose 135
+/// columns end in a masked tail.
+const DECODE_KN: &[(usize, usize)] = &[(48, 144), (48, 48), (48, 192), (192, 48), (48, 135)];
+
+/// Serializes the tests that flip the process-wide dispatch, so each one
+/// runs the arm it names.
+static DISPATCH: Mutex<()> = Mutex::new(());
+
+/// Runs `check` under AVX2 dispatch (where the CPU has it), then under
+/// forced-portable dispatch, and restores the setting it found.
+fn under_both_dispatches(mut check: impl FnMut(&str)) {
+    let _serial = DISPATCH.lock().unwrap_or_else(PoisonError::into_inner);
+    let was = force_portable();
+    for (portable, arm) in [(false, "simd"), (true, "portable")] {
+        set_force_portable(portable);
+        check(arm);
+    }
+    set_force_portable(was);
+}
+
+/// Bit patterns, so that `-0.0` and `+0.0` differ and a NaN equals itself.
+fn bits(m: &Mat) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Asserts that `a · b` equals the reference loop bit for bit on every
+/// pool, on the dispatch arm currently selected.
+fn assert_matmul_matches_naive(a: &Mat, b: &Mat, arm: &str) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let mut want = Mat::zeros(m, n);
+    a.matmul_into_naive(b, &mut want);
+    for pool in pools() {
+        let mut got = Mat::zeros(m, n);
+        a.matmul_into_on(b, &mut got, &pool);
+        assert_eq!(
+            bits(&want),
+            bits(&got),
+            "{arm} matmul {m}x{k}·{k}x{n} diverged on a {}-thread pool",
+            pool.threads()
+        );
+    }
+}
+
+#[test]
+fn tiled_matmul_is_bit_identical_to_naive_on_decode_shapes() {
+    let mut rng = Rng::seed_from(49);
+    for &m in DECODE_ROWS {
+        for &(k, n) in DECODE_KN {
+            let a = Mat::randn(m, k, 1.0, &mut rng);
+            let b = Mat::randn(k, n, 1.0, &mut rng);
+            under_both_dispatches(|arm| assert_matmul_matches_naive(&a, &b, arm));
+        }
+    }
+}
+
+#[test]
+fn tiled_zero_skip_is_per_row() {
+    // Exact `0.0` and `-0.0` at scattered (row, k) positions, so that inside
+    // one 4-row panel some rows skip a k and the others accumulate it; a
+    // kernel that skipped for the whole panel would drop their terms. The
+    // k columns that are zero in every row meet `b` rows of `±inf`, which a
+    // kernel that accumulated `0 · inf` would turn into NaN.
+    let mut rng = Rng::seed_from(50);
+    for &m in DECODE_ROWS {
+        for &(k, n) in DECODE_KN {
+            let mut a = Mat::randn(m, k, 1.0, &mut rng);
+            let mut b = Mat::randn(k, n, 1.0, &mut rng);
+            for i in 0..m {
+                for kk in 0..k {
+                    if (3 * i + 5 * kk) % 7 == 0 {
+                        a.set(i, kk, if (i + kk) % 2 == 0 { 0.0 } else { -0.0 });
+                    }
+                }
+            }
+            for kk in [1, k / 2, k - 1] {
+                for i in 0..m {
+                    a.set(i, kk, if i % 2 == 0 { -0.0 } else { 0.0 });
+                }
+                for j in 0..n {
+                    b.set(
+                        kk,
+                        j,
+                        if j % 2 == 0 {
+                            f32::INFINITY
+                        } else {
+                            f32::NEG_INFINITY
+                        },
+                    );
+                }
+            }
+            let mut want = Mat::zeros(m, n);
+            a.matmul_into_naive(&b, &mut want);
+            assert!(
+                want.as_slice().iter().all(|v| v.is_finite()),
+                "reference loop lost its zero-skip"
+            );
+            under_both_dispatches(|arm| assert_matmul_matches_naive(&a, &b, arm));
+        }
+    }
 }
 
 #[test]

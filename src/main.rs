@@ -24,7 +24,7 @@ use std::time::Duration;
 use pagpass::core::{
     run_with_listeners, CancelToken, CheckpointPolicy, DcGen, DcGenConfig, DcGenJournal,
     DcGenOptions, InferenceSession, ModelKind, PasswordModel, PasswordSink, SchedulerKind,
-    ServeConfig, TrainConfig, TrainOptions,
+    ServeConfig, TrainConfig, TrainOptions, MAX_WORKERS,
 };
 use pagpass::datasets::{clean, Site};
 use pagpass::eval::{hit_rate, repeat_rate};
@@ -41,12 +41,40 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
-        Err(msg) => {
+        Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
+        Err(CliError::Runtime(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
+        }
     }
+}
+
+/// Why a run stopped with exit code 2. A usage error — a missing or
+/// unknown subcommand, an unknown flag, a missing or unparsable flag
+/// value — is a mistake on the command line, so `main` follows its
+/// `error:` line with the usage text. A runtime failure (loading, I/O, a
+/// journal or kernel mismatch) prints only its `error:` line.
+#[derive(Debug, PartialEq, Eq)]
+enum CliError {
+    Usage(String),
+    Runtime(String),
+}
+
+/// Every `String` error the commands propagate is a runtime failure; usage
+/// errors are built explicitly, through [`usage`].
+impl From<String> for CliError {
+    fn from(msg: String) -> CliError {
+        CliError::Runtime(msg)
+    }
+}
+
+/// A usage error carrying `msg`.
+fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
 }
 
 const USAGE: &str = "usage:
@@ -99,9 +127,9 @@ reject-with-retry-after instead of buffering unboundedly.
 (GET /metrics, /healthz, /statusz; POST /score); --trace-sample N exports
 every Nth request's span tree to the JSONL log (0 = never).";
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String]) -> Result<ExitCode, CliError> {
     let Some((command, rest)) = args.split_first() else {
-        return Err("missing subcommand".into());
+        return Err(usage("missing subcommand"));
     };
     let parsed = Parsed::parse(rest)?;
     // Size the GEMM pool before any model work touches it. 0 means "auto"
@@ -126,7 +154,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "strength" => cmd_strength(&parsed),
         "serve" => cmd_serve(&parsed, &tel),
         "analyze" => cmd_analyze(&parsed),
-        other => Err(format!("unknown subcommand {other:?}")),
+        other => Err(usage(format!("unknown subcommand {other:?}"))),
     }?;
     tel.finish()?;
     Ok(code)
@@ -142,9 +170,9 @@ struct TelemetrySetup {
 }
 
 impl TelemetrySetup {
-    fn from_flags(p: &Parsed) -> Result<TelemetrySetup, String> {
+    fn from_flags(p: &Parsed) -> Result<TelemetrySetup, CliError> {
         let format: LogFormat = match p.flags.get("log-format") {
-            Some(v) => v.parse()?,
+            Some(v) => v.parse().map_err(usage)?,
             None => LogFormat::Text,
         };
         let quiet = p.flags.contains_key("quiet");
@@ -209,7 +237,7 @@ impl Flags {
 }
 
 impl Parsed {
-    fn parse(args: &[String]) -> Result<Parsed, String> {
+    fn parse(args: &[String]) -> Result<Parsed, CliError> {
         let mut parsed = Parsed::default();
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
@@ -229,7 +257,7 @@ impl Parsed {
                 }
                 let value = iter
                     .next()
-                    .ok_or_else(|| format!("--{name} needs a value"))?;
+                    .ok_or_else(|| usage(format!("--{name} needs a value")))?;
                 parsed.flags.values.insert(name.to_owned(), value.clone());
             } else {
                 parsed.positional.push(arg.clone());
@@ -242,7 +270,7 @@ impl Parsed {
     /// calls this once it has read all of its flags and before it does
     /// any work, so a misspelled flag, or one another subcommand takes,
     /// stops the run instead of being ignored.
-    fn reject_unknown(&self) -> Result<(), String> {
+    fn reject_unknown(&self) -> Result<(), CliError> {
         let read = self.flags.read.borrow();
         let mut unknown: Vec<&String> = self
             .flags
@@ -252,53 +280,53 @@ impl Parsed {
             .collect();
         unknown.sort();
         match unknown.first() {
-            Some(name) => Err(format!("unknown flag --{name}")),
+            Some(name) => Err(usage(format!("unknown flag --{name}"))),
             None => Ok(()),
         }
     }
 
-    fn required(&self, name: &str) -> Result<&str, String> {
+    fn required(&self, name: &str) -> Result<&str, CliError> {
         self.flags
             .get(name)
-            .ok_or_else(|| format!("missing --{name}"))
+            .ok_or_else(|| usage(format!("missing --{name}")))
     }
 
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
         match self.flags.get(name) {
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("--{name} got a non-numeric value {v:?}")),
+                .map_err(|_| usage(format!("--{name} got a non-numeric value {v:?}"))),
             None => Ok(default),
         }
     }
 }
 
-fn parse_site(name: &str) -> Result<Site, String> {
+fn parse_site(name: &str) -> Result<Site, CliError> {
     match name.to_lowercase().as_str() {
         "rockyou" => Ok(Site::RockYou),
         "linkedin" => Ok(Site::LinkedIn),
         "phpbb" => Ok(Site::PhpBb),
         "myspace" => Ok(Site::MySpace),
         "yahoo" => Ok(Site::Yahoo),
-        other => Err(format!("unknown site {other:?}")),
+        other => Err(usage(format!("unknown site {other:?}"))),
     }
 }
 
 /// Parses `--kernel` (default `pinned`) without installing it. Callers
 /// install the effective choice via [`set_kernel_mode`] once it is known —
 /// a `dcgen --resume` defers to the kernel recorded in the journal.
-fn parse_kernel(p: &Parsed) -> Result<KernelMode, String> {
+fn parse_kernel(p: &Parsed) -> Result<KernelMode, CliError> {
     match p.flags.get("kernel") {
-        Some(v) => v.parse(),
+        Some(v) => v.parse().map_err(usage),
         None => Ok(KernelMode::default()),
     }
 }
 
-fn parse_kind(name: &str) -> Result<ModelKind, String> {
+fn parse_kind(name: &str) -> Result<ModelKind, CliError> {
     match name.to_lowercase().as_str() {
         "passgpt" => Ok(ModelKind::PassGpt),
         "pagpassgpt" => Ok(ModelKind::PagPassGpt),
-        other => Err(format!("unknown model kind {other:?}")),
+        other => Err(usage(format!("unknown model kind {other:?}"))),
     }
 }
 
@@ -492,7 +520,7 @@ fn install_shutdown_signals(cancel: &CancelToken, tel: &Arc<Telemetry>) {
 #[cfg(not(unix))]
 fn install_shutdown_signals(_cancel: &CancelToken, _tel: &Arc<Telemetry>) {}
 
-fn cmd_synth(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
+fn cmd_synth(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, CliError> {
     let site = parse_site(p.required("site")?)?;
     let n: usize = p.num("n", 10_000)?;
     let seed: u64 = p.num("seed", 42)?;
@@ -516,7 +544,7 @@ fn cmd_synth(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_train(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
+fn cmd_train(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, CliError> {
     let kind = parse_kind(p.required("kind")?)?;
     let corpus_path = p.required("corpus")?;
     let out = p.required("out")?.to_owned();
@@ -527,7 +555,7 @@ fn cmd_train(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     let resume = p.flags.contains_key("resume");
     p.reject_unknown()?;
     if resume && ckpt_path.is_none() {
-        return Err("--resume needs --checkpoint FILE".into());
+        return Err(usage("--resume needs --checkpoint FILE"));
     }
     let corpus = read_lines(corpus_path)?;
     let cancel = CancelToken::new();
@@ -609,7 +637,7 @@ fn cmd_train(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_generate(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
+fn cmd_generate(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, CliError> {
     let kind = parse_kind(p.required("kind")?)?;
     let model_path = p.required("model")?;
     let n: usize = p.num("n", 1_000)?;
@@ -623,7 +651,7 @@ fn cmd_generate(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
         Some(pat) => {
             let pattern: Pattern = pat
                 .parse()
-                .map_err(|e| format!("bad pattern {pat:?}: {e}"))?;
+                .map_err(|e| usage(format!("bad pattern {pat:?}: {e}")))?;
             model.generate_guided(&pattern, n, temp, seed)
         }
         None => model.generate_free(n, temp, seed),
@@ -632,7 +660,7 @@ fn cmd_generate(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
+fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, CliError> {
     let model_path = p.required("model")?;
     let corpus_path = p.flags.get("corpus");
     let n: u64 = p.num("n", 10_000)?;
@@ -640,13 +668,16 @@ fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     let seed: u64 = p.num("seed", 7)?;
     let defaults = DcGenConfig::new(n);
     let workers: usize = p.num("workers", defaults.workers)?;
+    if workers > MAX_WORKERS {
+        return Err(usage(format!("--workers {workers} is above {MAX_WORKERS}")));
+    }
     let retries: u32 = p.num("retries", defaults.max_task_retries)?;
     let deadline = match p.flags.get("deadline-secs") {
         Some(_) => Some(Duration::from_secs(p.num("deadline-secs", 0u64)?)),
         None => None,
     };
     let scheduler: SchedulerKind = match p.flags.get("scheduler") {
-        Some(v) => v.parse()?,
+        Some(v) => v.parse().map_err(usage)?,
         None => SchedulerKind::default(),
     };
     let frontier_cap: u64 = p.num("frontier-cap", 0)?;
@@ -656,7 +687,7 @@ fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     let out = p.flags.get("out");
     p.reject_unknown()?;
     if resume && journal_path.is_none() {
-        return Err("--resume needs --checkpoint FILE".into());
+        return Err(usage("--resume needs --checkpoint FILE"));
     }
     let model =
         PasswordModel::load(ModelKind::PagPassGpt, model_path).map_err(|e| e.to_string())?;
@@ -712,7 +743,7 @@ fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
     let report = match &journal {
         Some(j) => DcGen::resume(&model, j, &opts).map_err(|e| e.to_string())?,
         None => {
-            let corpus = read_lines(corpus_path.ok_or("missing --corpus")?)?;
+            let corpus = read_lines(corpus_path.ok_or_else(|| usage("missing --corpus"))?)?;
             let patterns = PatternDistribution::from_passwords(corpus.iter().map(String::as_str));
             let config = DcGenConfig {
                 threshold,
@@ -816,7 +847,7 @@ fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
 /// `--deny-all` (the CI entry point) also fails on warn-level lints.
 /// `--lock-order FILE` checks observed lock acquisitions against the
 /// committed canonical order; `--update-lock-order` regenerates it.
-fn cmd_analyze(p: &Parsed) -> Result<ExitCode, String> {
+fn cmd_analyze(p: &Parsed) -> Result<ExitCode, CliError> {
     use pagpass::analysis::{analyze_repo, lockgraph};
 
     let root = PathBuf::from(p.flags.get("root").unwrap_or("."));
@@ -834,9 +865,11 @@ fn cmd_analyze(p: &Parsed) -> Result<ExitCode, String> {
         // cyclic graph has no canonical order — fix the cycle first.
         let report = analyze_repo(&root, None)?;
         if report.lock_order.is_empty() {
-            return Err("lock-order graph is cyclic (or no locks were observed); \
+            return Err(CliError::Runtime(
+                "lock-order graph is cyclic (or no locks were observed); \
                  run `pagpass analyze` and fix lock-order-cycle findings first"
-                .into());
+                    .into(),
+            ));
         }
         let path = lock_order_path.expect("defaulted above when flag is present");
         let text = lockgraph::render_order(&report.lock_order);
@@ -863,7 +896,7 @@ fn cmd_analyze(p: &Parsed) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_eval(p: &Parsed) -> Result<ExitCode, String> {
+fn cmd_eval(p: &Parsed) -> Result<ExitCode, CliError> {
     let guesses_path = p.required("guesses")?;
     let test_path = p.required("test")?;
     p.reject_unknown()?;
@@ -881,15 +914,13 @@ fn cmd_eval(p: &Parsed) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_strength(p: &Parsed) -> Result<ExitCode, String> {
+fn cmd_strength(p: &Parsed) -> Result<ExitCode, CliError> {
     let kind = parse_kind(p.required("kind")?)?;
     let kernel = parse_kernel(p)?;
     let model_path = p.required("model")?;
     let precise = p.flags.contains_key("precise");
     let in_path = p.flags.get("in");
     p.reject_unknown()?;
-    set_kernel_mode(kernel);
-    let model = PasswordModel::load(kind, model_path).map_err(|e| e.to_string())?;
     let mut passwords = p.positional.clone();
     if let Some(path) = in_path {
         let from_file: Vec<String> = read_lines(path)?
@@ -900,13 +931,19 @@ fn cmd_strength(p: &Parsed) -> Result<ExitCode, String> {
             // Exit 2 with a diagnostic, matching eval's contract: silence
             // plus success on an empty input reads as "scored nothing
             // wrong" when nothing was scored at all.
-            return Err(format!("input file {path} contains no passwords"));
+            return Err(CliError::Runtime(format!(
+                "input file {path} contains no passwords"
+            )));
         }
         passwords.extend(from_file);
     }
     if passwords.is_empty() {
-        return Err("strength needs at least one password (positional or --in FILE)".into());
+        return Err(usage(
+            "strength needs at least one password (positional or --in FILE)",
+        ));
     }
+    set_kernel_mode(kernel);
+    let model = PasswordModel::load(kind, model_path).map_err(|e| e.to_string())?;
     // One session for the whole batch: under `--kernel quantized` the
     // weights pack to int8 once here instead of once per password.
     let mut session = InferenceSession::new(&model);
@@ -930,7 +967,7 @@ fn cmd_strength(p: &Parsed) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_serve(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, String> {
+fn cmd_serve(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, CliError> {
     let kind = parse_kind(p.required("kind")?)?;
     let kernel = parse_kernel(p)?;
     let model_path = p.required("model")?;
@@ -1049,16 +1086,70 @@ mod tests {
 
     #[test]
     fn unknown_subcommand_errors() {
-        assert!(run(&s(&["frobnicate"])).is_err());
-        assert!(run(&s(&[])).is_err());
+        assert!(matches!(run(&s(&["frobnicate"])), Err(CliError::Usage(_))));
+        assert!(matches!(run(&s(&[])), Err(CliError::Usage(_))));
+    }
+
+    /// Runs a whitespace-separated command line that must fail.
+    fn run_err(cmdline: &str) -> CliError {
+        let args: Vec<String> = cmdline.split_whitespace().map(str::to_owned).collect();
+        run(&args).expect_err(cmdline)
+    }
+
+    #[test]
+    fn only_usage_errors_carry_the_usage_text() {
+        // Mistakes on the command line: the usage text follows the error.
+        for cmdline in [
+            "synth --site",
+            "synth --site geocities --out x.txt",
+            "eval --guesses a.txt",
+            "dcgen --model m.bin --corpus c.txt --threads abc",
+            "dcgen --model m.bin --corpus c.txt --kernel blocked",
+            "dcgen --model m.bin --corpus c.txt --scheduler bfs",
+            "dcgen --model m.bin --resume",
+            "dcgen --model /nonexistent --workers 1000000",
+            "strength --kind pagpassgpt --model /nonexistent",
+            "train --kind bert --corpus c.txt --out m.bin",
+        ] {
+            assert!(matches!(run_err(cmdline), CliError::Usage(_)), "{cmdline}");
+        }
+        // A well-formed command line that fails at run time: the error
+        // line alone.
+        let dir = std::env::temp_dir().join("pagpass_cli_runtime_errors");
+        std::fs::create_dir_all(&dir).unwrap();
+        let model = dir.join("model.bin");
+        PasswordModel::new(
+            ModelKind::PagPassGpt,
+            pagpass::nn::GptConfig::tiny(VOCAB_SIZE),
+            1,
+        )
+        .save(model.to_str().unwrap())
+        .unwrap();
+        let journal = dir.join("journal.txt");
+        std::fs::write(&journal, "not a journal\ncrc 00000000\n").unwrap();
+        let model = model.to_str().unwrap();
+        for cmdline in [
+            "eval --guesses /nonexistent --test /nonexistent".to_owned(),
+            "dcgen --model /nonexistent --corpus /nonexistent".to_owned(),
+            format!("dcgen --model {model} --corpus /nonexistent"),
+            format!(
+                "dcgen --model {model} --checkpoint {} --resume",
+                journal.display()
+            ),
+        ] {
+            assert!(
+                matches!(run_err(&cmdline), CliError::Runtime(_)),
+                "{cmdline}"
+            );
+        }
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn flags_a_subcommand_does_not_read_are_rejected_before_any_work() {
         let rejects = |cmdline: &str, flag: &str| {
-            let args: Vec<String> = cmdline.split_whitespace().map(str::to_owned).collect();
-            let err = run(&args).expect_err("an unread flag must fail the run");
-            assert_eq!(err, format!("unknown flag {flag}"), "{cmdline}");
+            let err = run_err(cmdline);
+            assert_eq!(err, usage(format!("unknown flag {flag}")), "{cmdline}");
         };
         // A misspelling is not taken for the flag it resembles, and the
         // missing model file is never opened.
