@@ -36,8 +36,9 @@ pub struct DcGenConfig {
     /// Ablation switch: allocate the budget uniformly across patterns
     /// instead of by their empirical probability.
     pub uniform_patterns: bool,
-    /// Concurrent task workers (paper optimization 3), at most
-    /// [`MAX_WORKERS`]. With `1` the run is fully deterministic.
+    /// Concurrent task workers (paper optimization 3), one OS thread each;
+    /// the CLI and the journal loader refuse more than [`MAX_WORKERS`].
+    /// With `1` the run is fully deterministic.
     pub workers: usize,
     /// How many times a panicking task is retried before it is abandoned
     /// and recorded in [`DcGenReport::failed_tasks`].

@@ -866,7 +866,10 @@ mod tiled {
         j: usize,
         out: &mut [f32],
     ) {
-        debug_assert!(a_rows.len() == R * k && b.len() == k * n && out.len() == R * n);
+        // Proves every `a_rows` index below; the unchecked reads measured
+        // about a fifth faster than indexed ones at the gemm bench's shapes.
+        assert_eq!(a_rows.len(), R * k, "tile takes R rows of a");
+        debug_assert!(b.len() == k * n && out.len() == R * n);
         // Vector `v` covers columns `j + 8v ..`: `live` vectors start inside
         // the row, and `masks[v]` enables the lanes that stay inside it.
         let width = n - j;
@@ -896,7 +899,8 @@ mod tiled {
                 };
             }
             for (r, acc_r) in acc.iter_mut().enumerate() {
-                // SAFETY: `r < R` and `kk < k` index inside `a_rows`.
+                // SAFETY: `r < R` and `kk < k`, so `r·k + kk < R·k`, which
+                // the assert above makes `a_rows.len()`.
                 let x = unsafe { *a_rows.get_unchecked(r * k + kk) };
                 if x != 0.0 {
                     let xv = _mm256_set1_ps(x);
