@@ -866,10 +866,15 @@ mod tiled {
         j: usize,
         out: &mut [f32],
     ) {
-        // Proves every `a_rows` index below; the unchecked reads measured
-        // about a fifth faster than indexed ones at the gemm bench's shapes.
+        // The first assert proves every `a_rows` index below (the unchecked
+        // reads measured about a fifth faster than indexed ones at the gemm
+        // bench's shapes); the second keeps the row pointers inside `b` and
+        // `out`.
         assert_eq!(a_rows.len(), R * k, "tile takes R rows of a");
-        debug_assert!(b.len() == k * n && out.len() == R * n);
+        assert!(
+            b.len() == k * n && out.len() == R * n,
+            "tile shapes disagree"
+        );
         // Vector `v` covers columns `j + 8v ..`: `live` vectors start inside
         // the row, and `masks[v]` enables the lanes that stay inside it.
         let width = n - j;
