@@ -1,13 +1,14 @@
-//! Paired GEMM benchmark — reference loops vs cache-blocked kernels, and
+//! Paired GEMM benchmark — reference loops vs the library's kernels, and
 //! int8 decode.
 //!
-//! Times each matrix kernel (the order-preserving `matmul_into`, also at
-//! the `lm_head` decode shape, `matmul_t_accum` and the reassociating
-//! training kernels `matmul_fast`, `matmul_bt_packed`,
-//! `matmul_t_accum_fast`) against its reference — the
-//! library's reference loops `Mat::matmul_into_naive` and
-//! `Mat::matmul_t_accum_naive`, or `matmul_bt` for `matmul_bt_packed` — and
-//! a KV-cached decode loop on the pinned f32 and the int8 kernels.
+//! Times each matrix kernel (the order-preserving decode matmul
+//! `matmul_into`, also at the `lm_head` decode shape, and the training
+//! kernels `matmul_fast`, `matmul_bt_packed`, `matmul_t_accum_fast`)
+//! against its reference — the library's reference loops
+//! `Mat::matmul_into_naive` and `Mat::matmul_t_accum_naive`;
+//! `matmul_bt_packed`'s reference arm transposes its n×k operand and runs
+//! `matmul_into_naive` on it, so both arms start from the same operand —
+//! and a KV-cached decode loop on the pinned f32 and the int8 kernels.
 //!
 //! Everything runs on one GEMM thread, as perfbench does: on a shared host
 //! extra pool threads measure the host's spare cores, not the kernels.
@@ -22,11 +23,14 @@
 //! itself shifts with the host's state for seconds at a time, and such a
 //! state then decides no ratio unless it lasts the whole run.
 //!
-//! Equality is asserted, not trusted: the two order-preserving kernels
-//! must be bit-identical to their reference. The training kernels
-//! reassociate their sums by design (that is where their speed comes
-//! from), so they are checked against theirs to a relative tolerance
-//! instead.
+//! Equality is asserted, not trusted: both `matmul_into` pairs must be
+//! bit-identical to their reference. The training kernels reassociate
+//! their sums by design (that is where their speed comes from), so they are
+//! checked against theirs to a relative tolerance instead.
+//!
+//! The decode check runs the int8 kernels under portable dispatch once and
+//! then restores the dispatch it found, so `PAGPASS_FORCE_PORTABLE=1` times
+//! the portable arms.
 //!
 //! The JSON report carries a flat `speedups` map of dimensionless
 //! fast-over-reference ratios — machine-relative numbers the `bench_gate`
@@ -41,6 +45,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use pagpass_bench::save_json_str;
+use pagpass_nn::qmat::force_portable;
 use pagpass_nn::{pool, set_force_portable, Gpt, GptConfig, Mat, QuantizedGpt, Rng};
 use pagpass_tokenizer::VOCAB_SIZE;
 
@@ -147,10 +152,9 @@ struct Report {
     speedups: BTreeMap<String, f64>,
 }
 
-// The report is rendered by hand rather than through a serializer so the
-// artifact is a pure function of the measurements and the binary works in
-// dependency-stripped environments; `bench_gate` parses the flat
-// `speedups` object back with an equally dependency-free scanner.
+// The report is rendered by hand, with fixed decimals per field, so the
+// artifact is a pure function of the measurements; `bench_gate` reads its
+// flat `speedups` object back through `pagpass_telemetry::parse_json`.
 impl KernelTiming {
     fn json(&self) -> String {
         format!(
@@ -313,7 +317,15 @@ fn naive_into(o: &Operands) -> Mat {
     out
 }
 
-/// The reference loop of `matmul_t_accum` and `matmul_t_accum_fast`.
+/// The reference of `matmul_bt_packed`: the reference loop on `bᵀ`,
+/// transposed inside the call so both arms start from the same n×k operand.
+fn naive_bt(o: &Operands) -> Mat {
+    let mut out = Mat::zeros(o.a.rows(), o.b_nk.rows());
+    o.a.matmul_into_naive(&o.b_nk.transposed(), &mut out);
+    out
+}
+
+/// The reference loop of `matmul_t_accum_fast`.
 fn naive_t_accum(o: &Operands) -> Mat {
     let mut out = Mat::zeros(o.x_mk.cols(), o.dy_mn.cols());
     o.x_mk.matmul_t_accum_naive(&o.dy_mn, &mut out);
@@ -337,22 +349,14 @@ const LM_HEAD: (usize, usize, usize) = (16, 48, 135);
 type Gated = (&'static str, Option<(usize, usize, usize)>, Kernel, Kernel);
 
 /// Every gated kernel.
-const KERNELS: [Gated; 6] = [
+const KERNELS: [Gated; 5] = [
     ("matmul_into", None, naive_into, into),
     ("matmul_into_lm_head", Some(LM_HEAD), naive_into, into),
-    (
-        "matmul_bt_packed",
-        None,
-        |o| o.a.matmul_bt(&o.b_nk),
-        |o| o.a.matmul_bt_packed(&o.b_nk),
-    ),
+    ("matmul_bt_packed", None, naive_bt, |o| {
+        o.a.matmul_bt_packed(&o.b_nk)
+    }),
     ("matmul_fast", None, naive_into, |o| {
         o.a.matmul_fast(&o.b_kn)
-    }),
-    ("matmul_t_accum", None, naive_t_accum, |o| {
-        let mut out = Mat::zeros(o.x_mk.cols(), o.dy_mn.cols());
-        o.x_mk.matmul_t_accum(&o.dy_mn, &mut out);
-        out
     }),
     ("matmul_t_accum_fast", None, naive_t_accum, |o| {
         let mut out = Mat::zeros(o.x_mk.cols(), o.dy_mn.cols());
@@ -434,9 +438,10 @@ impl Decode {
     fn check(&self) -> f64 {
         let pinned_logits = self.run(None);
         let quant_logits = self.run(Some(&self.q));
+        let was = force_portable();
         set_force_portable(true);
         let portable_logits = self.run(Some(&self.q));
-        set_force_portable(false);
+        set_force_portable(was);
         assert!(
             portable_logits == quant_logits,
             "quantized decode diverged between SIMD and portable dispatch"

@@ -8,12 +8,13 @@
 //! change that quietly serializes the pool or deoptimizes a micro-kernel)
 //! shows up as the ratio collapsing while noise largely cancels.
 //!
-//! The report's `speedups` object is parsed with a purpose-built scanner
-//! instead of a JSON library so the gate works — and its tests run — in
-//! dependency-stripped environments; the object is flat (`string: number`
-//! pairs only), which is all the scanner supports by design.
+//! Reports and baselines are parsed with the workspace's JSON parser
+//! ([`pagpass_telemetry::parse_json`]); the gate reads the top-level
+//! `speedups` object, which must be flat (`string: number` pairs only).
 
 use std::collections::BTreeMap;
+
+use pagpass_telemetry::{parse_json, JsonValue};
 
 /// Fraction a speedup may fall below its baseline before the gate fails.
 /// 25% absorbs run-to-run noise on shared CI runners while still catching
@@ -21,45 +22,33 @@ use std::collections::BTreeMap;
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
 /// Extracts the flat `"speedups": { "key": number, ... }` object from a
-/// bench report rendered by the `gemm` binary.
+/// bench report or baseline.
 ///
 /// # Errors
 ///
-/// Returns a description of the first structural problem: no `speedups`
-/// key, unbalanced braces, a malformed entry, or an empty map.
+/// Returns a description of the first problem: malformed JSON, no
+/// top-level `speedups` key, a `speedups` that is not an object or is
+/// empty, or a value that is not a number.
 pub fn extract_speedups(json: &str) -> Result<BTreeMap<String, f64>, String> {
-    let key_at = json
-        .find("\"speedups\"")
+    let report = parse_json(json).map_err(|e| format!("report is not valid JSON: {e}"))?;
+    let speedups = report
+        .get("speedups")
         .ok_or_else(|| "report has no \"speedups\" object".to_string())?;
-    let open = json[key_at..]
-        .find('{')
-        .map(|o| key_at + o)
-        .ok_or_else(|| "\"speedups\" is not followed by an object".to_string())?;
-    // The object is flat by construction, so the next '}' closes it.
-    let close = json[open..]
-        .find('}')
-        .map(|c| open + c)
-        .ok_or_else(|| "\"speedups\" object is never closed".to_string())?;
-    let mut out = BTreeMap::new();
-    for entry in json[open + 1..close].split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let (key, value) = entry
-            .split_once(':')
-            .ok_or_else(|| format!("malformed speedups entry: {entry:?}"))?;
-        let key = key.trim().trim_matches('"').to_string();
-        let value: f64 = value
-            .trim()
-            .parse()
-            .map_err(|e| format!("speedups[{key:?}] is not a number: {e}"))?;
-        out.insert(key, value);
-    }
-    if out.is_empty() {
+    let JsonValue::Obj(fields) = speedups else {
+        return Err("\"speedups\" is not an object".to_string());
+    };
+    if fields.is_empty() {
         return Err("\"speedups\" object is empty".to_string());
     }
-    Ok(out)
+    fields
+        .iter()
+        .map(|(key, value)| {
+            let value = value
+                .as_f64()
+                .ok_or_else(|| format!("speedups[{key:?}] is not a number"))?;
+            Ok((key.clone(), value))
+        })
+        .collect()
 }
 
 /// Compares `current` against `baseline`: every baseline key must be
@@ -177,7 +166,6 @@ mod tests {
             "matmul_into_lm_head",
             "matmul_bt_packed",
             "matmul_fast",
-            "matmul_t_accum",
             "matmul_t_accum_fast",
             "decode_quantized_vs_pinned",
         ] {

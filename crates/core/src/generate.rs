@@ -32,7 +32,6 @@ pub(crate) struct SamplePlan<'a> {
 /// Panics if the prompt plus budget exceed the model's context window.
 pub(crate) fn sample_batched(
     gpt: &Gpt,
-    vocab: &Vocab,
     plan: &SamplePlan<'_>,
     n: usize,
     batch: usize,
@@ -42,7 +41,6 @@ pub(crate) fn sample_batched(
     sample_batched_primed(
         gpt,
         None,
-        vocab,
         plan,
         n,
         batch,
@@ -78,7 +76,6 @@ pub(crate) fn sample_batched(
 pub(crate) fn sample_batched_primed(
     gpt: &Gpt,
     quant: Option<&QuantizedGpt>,
-    vocab: &Vocab,
     plan: &SamplePlan<'_>,
     n: usize,
     batch: usize,
@@ -99,19 +96,15 @@ pub(crate) fn sample_batched_primed(
     while remaining > 0 {
         let b = remaining.min(batch);
         let logits = prime(b, state);
-        out.extend(sample_one_batch(
-            gpt, quant, vocab, plan, b, rng, state, logits,
-        ));
+        out.extend(sample_one_batch(gpt, quant, plan, b, rng, state, logits));
         remaining -= b;
     }
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sample_one_batch(
     gpt: &Gpt,
     quant: Option<&QuantizedGpt>,
-    vocab: &Vocab,
     plan: &SamplePlan<'_>,
     b: usize,
     rng: &mut Rng,
@@ -150,7 +143,6 @@ fn sample_one_batch(
         }
         logits = gpt.decode_step_with(quant, &next_tokens, state);
     }
-    let _ = vocab; // vocabulary is part of the contract; ids map through it
     sequences
 }
 
@@ -176,7 +168,6 @@ mod tests {
     #[test]
     fn produces_exactly_n_sequences_across_batches() {
         let gpt = tiny_gpt();
-        let tok = Tokenizer::new();
         let plan = SamplePlan {
             prefix: vec![Vocab::BOS],
             max_new: 4,
@@ -185,7 +176,7 @@ mod tests {
             allowed_at: Box::new(|_| None),
         };
         let mut rng = Rng::seed_from(2);
-        let out = sample_batched(&gpt, tok.vocab(), &plan, 7, 3, &mut rng);
+        let out = sample_batched(&gpt, &plan, 7, 3, &mut rng);
         assert_eq!(out.len(), 7);
         assert!(out.iter().all(|s| s.len() <= 4 && !s.is_empty()));
     }
@@ -193,7 +184,6 @@ mod tests {
     #[test]
     fn banned_tokens_never_appear() {
         let gpt = tiny_gpt();
-        let tok = Tokenizer::new();
         let banned = vec![Vocab::BOS, Vocab::PAD, Vocab::UNK];
         let plan = SamplePlan {
             prefix: vec![Vocab::BOS],
@@ -203,7 +193,7 @@ mod tests {
             allowed_at: Box::new(|_| None),
         };
         let mut rng = Rng::seed_from(3);
-        for seq in sample_batched(&gpt, tok.vocab(), &plan, 40, 16, &mut rng) {
+        for seq in sample_batched(&gpt, &plan, 40, 16, &mut rng) {
             for id in seq {
                 assert!(!banned.contains(&id), "banned id {id} sampled");
             }
@@ -225,7 +215,7 @@ mod tests {
             allowed_at: Box::new(|_| Some(&digits)),
         };
         let mut rng = Rng::seed_from(4);
-        for seq in sample_batched(&gpt, tok.vocab(), &plan, 20, 8, &mut rng) {
+        for seq in sample_batched(&gpt, &plan, 20, 8, &mut rng) {
             for id in seq {
                 assert!(digits.contains(&id));
             }
@@ -235,7 +225,6 @@ mod tests {
     #[test]
     fn eos_terminates_a_sequence() {
         let gpt = tiny_gpt();
-        let tok = Tokenizer::new();
         // Force EOS at step 1 for every row.
         let eos_mask = [Vocab::EOS];
         let plan = SamplePlan {
@@ -246,7 +235,7 @@ mod tests {
             allowed_at: Box::new(|step| if step == 1 { Some(&eos_mask[..]) } else { None }),
         };
         let mut rng = Rng::seed_from(5);
-        for seq in sample_batched(&gpt, tok.vocab(), &plan, 10, 4, &mut rng) {
+        for seq in sample_batched(&gpt, &plan, 10, 4, &mut rng) {
             assert_eq!(seq.len(), 2);
             assert_eq!(seq[1], Vocab::EOS);
         }
@@ -256,7 +245,6 @@ mod tests {
     #[should_panic(expected = "context window")]
     fn oversized_budget_panics() {
         let gpt = tiny_gpt();
-        let tok = Tokenizer::new();
         let plan = SamplePlan {
             prefix: vec![Vocab::BOS],
             max_new: 99,
@@ -264,6 +252,6 @@ mod tests {
             banned: vec![],
             allowed_at: Box::new(|_| None),
         };
-        let _ = sample_batched(&gpt, tok.vocab(), &plan, 1, 1, &mut Rng::seed_from(0));
+        let _ = sample_batched(&gpt, &plan, 1, 1, &mut Rng::seed_from(0));
     }
 }

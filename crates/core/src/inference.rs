@@ -363,7 +363,6 @@ impl<'m> InferenceSession<'m> {
         let sequences = sample_batched_primed(
             model.gpt(),
             self.quant.as_ref(),
-            vocab,
             &plan,
             n,
             PasswordModel::GEN_BATCH,

@@ -166,7 +166,6 @@ impl PasswordModel {
     /// generates the password directly.
     #[must_use]
     pub fn generate_free(&self, n: usize, temperature: f32, seed: u64) -> Vec<String> {
-        let vocab = self.tokenizer.vocab();
         let max_new = self.gpt.config().ctx_len - 1;
         let banned = self.banned_ids();
         let plan = SamplePlan {
@@ -177,7 +176,7 @@ impl PasswordModel {
             allowed_at: Box::new(|_| None),
         };
         let mut rng = Rng::seed_from(seed);
-        let sequences = sample_batched(&self.gpt, vocab, &plan, n, Self::GEN_BATCH, &mut rng);
+        let sequences = sample_batched(&self.gpt, &plan, n, Self::GEN_BATCH, &mut rng);
         sequences
             .into_iter()
             .map(|ids| self.decode_generated(&ids))
@@ -231,7 +230,7 @@ impl PasswordModel {
                 Box::new(|step| masks.get(step).map(Vec::as_slice))
             },
         };
-        let sequences = sample_batched(&self.gpt, vocab, &plan, n, Self::GEN_BATCH, &mut rng);
+        let sequences = sample_batched(&self.gpt, &plan, n, Self::GEN_BATCH, &mut rng);
         sequences
             .into_iter()
             .map(|ids| self.decode_generated(&ids))

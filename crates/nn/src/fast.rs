@@ -1,7 +1,7 @@
 //! Reassociating GEMM micro-kernel for the training path.
 //!
-//! The kernels in [`crate::mat`] are bit-for-bit replicas of the naive
-//! reference loops: every output element accumulates in the exact order the
+//! The decode matmul in [`crate::mat`] is a bit-for-bit replica of its
+//! reference loop: every output element accumulates in the exact order the
 //! original triple loop used, because the forward sampling path's bits are
 //! pinned by the golden-output regression. That contract costs real
 //! throughput — it forbids fused multiply-add (a different rounding per

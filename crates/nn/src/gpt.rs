@@ -403,16 +403,7 @@ impl Gpt {
     /// Panics if `max_norm` is not positive.
     pub fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
         assert!(max_norm > 0.0, "max_norm must be positive");
-        let mut sq = 0.0f64;
-        self.visit_params(&mut |p| {
-            sq += p
-                .grad
-                .as_slice()
-                .iter()
-                .map(|&g| f64::from(g) * f64::from(g))
-                .sum::<f64>();
-        });
-        let norm = (sq as f32).sqrt();
+        let norm = self.grad_norm();
         if norm > max_norm {
             let scale = max_norm / norm;
             self.visit_params(&mut |p| p.grad.scale(scale));

@@ -6,10 +6,10 @@
 //! the models need, from the matrix kernels up —
 //!
 //! * [`Mat`] — a dense row-major `f32` matrix with the small set of BLAS-like
-//!   kernels a transformer needs; the GEMMs are cache-blocked and run on a
-//!   persistent worker pool ([`pool`]), and the reference loops that define
-//!   their bits ([`Mat::matmul_into_naive`], [`Mat::matmul_t_accum_naive`])
-//!   are plain functions the equivalence tests and the paired benchmark call,
+//!   kernels a transformer needs, one per job, each run on a persistent
+//!   worker pool ([`pool`]); the reference loops they are checked against
+//!   ([`Mat::matmul_into_naive`], [`Mat::matmul_t_accum_naive`]) are plain
+//!   functions the equivalence tests and the paired benchmark call,
 //! * [`KernelMode`] — the process-wide decode kernel: `pinned` f32, whose
 //!   bits the golden files pin, or `quantized` int8 ([`qmat`]),
 //! * layers with **manual forward/backward passes**: [`Linear`],

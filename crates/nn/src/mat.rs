@@ -8,10 +8,9 @@ use crate::Rng;
 /// Which decode kernel family inference sessions use — the `--kernel`
 /// choice shared by `dcgen`, `strength` and `serve`.
 ///
-/// The f32 GEMM entry points on [`Mat`] never read it: they always run the
-/// blocked kernels on the global [`pool`], whose bits the reference loops
-/// ([`Mat::matmul_into_naive`], [`Mat::matmul_t_accum_naive`]) define.
-/// Only inference sessions look at the mode, when they are built.
+/// The f32 GEMM entry points on [`Mat`] never read it: they always run
+/// their one kernel on the global [`pool`]. Only inference sessions look at
+/// the mode, when they are built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Bit-exact blocked f32 decode — the default, pinned by the f32
@@ -70,9 +69,12 @@ pub fn kernel_mode() -> KernelMode {
     }
 }
 
-/// Total GEMM kernel invocations (`matmul`/`matmul_into`, `matmul_bt`,
-/// `matmul_t_accum`) since process start. The trainer and D&C-GEN report
-/// deltas of this as the `nn.gemm_calls` telemetry counter.
+/// Total pooled GEMM calls since process start: the decode matmul
+/// (`matmul`/`matmul_into`), the training kernels (`matmul_fast`,
+/// `matmul_bt_packed`, `matmul_t_accum_fast`) and the int8
+/// [`crate::QMat::matmul`]; the reference loops are not counted. The
+/// trainer and D&C-GEN report deltas of this as the `nn.gemm_calls`
+/// telemetry counter.
 #[must_use]
 pub fn gemm_calls() -> u64 {
     // ORD: monotonic telemetry counter; no cross-thread ordering needed.
@@ -84,47 +86,81 @@ pub(crate) fn count_gemm_call() {
     GEMM_CALLS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Rows of the shared operand kept hot per cache tile. 128 rows × 512 f32
-/// columns is 256 KiB — sized for L2 so a tile of `B` (or `dY`) is reused
-/// across a whole row-block of `A` instead of being re-streamed per row.
-/// A multiple of 4 so the unrolled micro-kernel only sees a remainder loop
-/// in the final tile.
+/// Rows of `b` kept hot per cache tile by the portable arm of
+/// [`Mat::matmul_into`]. 128 rows × 512 f32 columns is 256 KiB — sized for
+/// L2 so a tile of `b` is reused across a whole row-block of `a` instead of
+/// being re-streamed per row. A multiple of 8 so the unrolled micro-kernel
+/// only sees a remainder loop in the final tile.
 const K_TILE: usize = 128;
 
 /// Below this many element-ops a kernel runs single-chunk: waking parked
 /// workers costs more than the loop itself.
 const PAR_MIN_WORK: usize = 1 << 16;
 
-/// How many row-block chunks to split a kernel into.
-fn row_chunks(threads: usize, rows: usize, work_per_row: usize) -> usize {
-    if threads <= 1 || rows < 2 || rows.saturating_mul(work_per_row) < PAR_MIN_WORK {
+/// How many chunks to split a pooled kernel into: `units` output rows (or,
+/// in the int8 kernel, columns), each costing `work_per_unit` element-ops.
+pub(crate) fn chunk_count(threads: usize, units: usize, work_per_unit: usize) -> usize {
+    if threads <= 1 || units < 2 || units.saturating_mul(work_per_unit) < PAR_MIN_WORK {
         1
     } else {
-        threads.min(rows)
+        threads.min(units)
     }
 }
 
-/// Mutable base pointer smuggled into pool chunks. Each chunk derives a
-/// disjoint row range from it, so aliasing never occurs.
+/// Mutable base pointer of a kernel's output, smuggled into pool chunks.
+/// Each chunk derives disjoint elements from it — a row block in
+/// [`for_row_blocks`], a column range in the int8 kernel — so aliasing
+/// never occurs.
 #[derive(Clone, Copy)]
-struct RowsPtr(*mut f32);
+pub(crate) struct OutPtr(*mut f32);
 
-impl RowsPtr {
+impl OutPtr {
+    pub(crate) fn new(out: &mut [f32]) -> OutPtr {
+        OutPtr(out.as_mut_ptr())
+    }
+
     /// The pointer offset by `off` elements. A method (rather than field
     /// access) so closures capture the whole `Sync` wrapper, not the raw
     /// pointer inside it.
-    fn at(self, off: usize) -> *mut f32 {
+    pub(crate) fn at(self, off: usize) -> *mut f32 {
         // SAFETY: callers only offset within the allocation they wrapped.
         unsafe { self.0.add(off) }
     }
 }
 
-// SAFETY: chunks index disjoint row blocks (enforced by the chunk → row
-// mapping in each kernel) and the pool's latch confines all dereferences to
-// the submitting call's stack frame.
-unsafe impl Send for RowsPtr {}
-// SAFETY: as above — shared access only ever touches disjoint rows.
-unsafe impl Sync for RowsPtr {}
+// SAFETY: chunks touch disjoint elements (enforced by each kernel's chunk
+// mapping) and the pool's latch confines all dereferences to the
+// submitting call's stack frame.
+unsafe impl Send for OutPtr {}
+// SAFETY: as above — shared access only ever touches disjoint elements.
+unsafe impl Sync for OutPtr {}
+
+/// Splits `out`'s rows into [`chunk_count`] contiguous blocks across `pool`
+/// and runs `rows_kernel(i0, i1, out_rows)` once per block, `out_rows`
+/// being rows `[i0, i1)` of `out`. Each output row is written by exactly
+/// one chunk, so the chunk count — and thus the thread count — never
+/// changes the bits.
+fn for_row_blocks<F>(out: &mut Mat, work_per_row: usize, pool: &ThreadPool, rows_kernel: F)
+where
+    F: Fn(usize, usize, &mut [f32]) + Sync,
+{
+    let (m, n) = (out.rows, out.cols);
+    let chunks = chunk_count(pool.threads(), m, work_per_row);
+    let block = m.div_ceil(chunks.max(1));
+    let out_ptr = OutPtr::new(&mut out.data);
+    pool.run(chunks, &|c| {
+        let i0 = c * block;
+        let i1 = ((c + 1) * block).min(m);
+        if i0 >= i1 {
+            return;
+        }
+        // SAFETY: chunk `c` owns exactly rows `[i0, i1)` of `out` (chunks
+        // tile `0..m` disjointly), and `pool.run` returns only after every
+        // chunk finished, confining this reborrow to the current frame.
+        let out_rows = unsafe { std::slice::from_raw_parts_mut(out_ptr.at(i0 * n), (i1 - i0) * n) };
+        rows_kernel(i0, i1, out_rows);
+    });
+}
 
 /// A dense row-major `f32` matrix.
 ///
@@ -133,9 +169,10 @@ unsafe impl Sync for RowsPtr {}
 /// BLAS-like routines the transformer needs; they are written so the
 /// auto-vectorizer produces tight inner loops (contiguous row accesses, no
 /// bounds checks inside the hot loops thanks to slice windows). Each GEMM
-/// entry point runs one cache-blocked kernel on the persistent [`pool`];
-/// the order-preserving ones are bit-identical to the reference loops
-/// [`Mat::matmul_into_naive`] and [`Mat::matmul_t_accum_naive`].
+/// entry point runs one kernel on the persistent [`pool`]: the decode
+/// matmul [`Mat::matmul_into`] is bit-identical to the reference loop
+/// [`Mat::matmul_into_naive`], and the training kernels track it and
+/// [`Mat::matmul_t_accum_naive`] to within rounding error.
 ///
 /// # Examples
 ///
@@ -316,24 +353,10 @@ impl Mat {
     }
 
     fn matmul_into_pool(&self, other: &Mat, out: &mut Mat, pool: &ThreadPool) {
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let chunks = row_chunks(pool.threads(), m, k.saturating_mul(n));
-        let block = m.div_ceil(chunks.max(1));
-        let out_ptr = RowsPtr(out.data.as_mut_ptr());
         // Dispatch once per call; both arms compute the same bits.
         let avx2 = crate::qmat::use_avx2();
-        pool.run(chunks, &|c| {
-            let i0 = c * block;
-            let i1 = ((c + 1) * block).min(m);
-            if i0 >= i1 {
-                return;
-            }
-            // SAFETY: chunk `c` owns exactly rows `[i0, i1)` of `out`
-            // (chunks tile `0..m` disjointly) and `pool.run` returns only
-            // after every chunk finished, confining this reborrow to the
-            // current frame.
-            let out_rows =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.at(i0 * n), (i1 - i0) * n) };
+        let work_per_row = self.cols.saturating_mul(other.cols);
+        for_row_blocks(out, work_per_row, pool, |i0, i1, out_rows| {
             #[cfg(target_arch = "x86_64")]
             if avx2 {
                 // SAFETY: `use_avx2` confirmed the cpuid feature.
@@ -343,30 +366,6 @@ impl Mat {
             let _ = avx2;
             matmul_rows_blocked(self, other, i0, i1, out_rows);
         });
-    }
-
-    /// `selfᵀ · other`: `(k×m)ᵀ · (k×n) → (m×n)`, accumulating into `out`.
-    ///
-    /// This is the weight-gradient kernel `dW += Xᵀ·dY`. Runs on the global
-    /// [`pool`] like [`Mat::matmul_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any dimension mismatch, naming both shapes.
-    pub fn matmul_t_accum(&self, other: &Mat, out: &mut Mat) {
-        self.matmul_t_accum_on(other, out, pool::global());
-    }
-
-    /// The blocked `selfᵀ · other` accumulation on an explicit pool —
-    /// bit-identical to [`Mat::matmul_t_accum`] at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any dimension mismatch, naming both shapes.
-    pub fn matmul_t_accum_on(&self, other: &Mat, out: &mut Mat, pool: &ThreadPool) {
-        self.assert_t_accum_shapes(other, out);
-        count_gemm_call();
-        self.matmul_t_accum_pool(other, out, pool);
     }
 
     fn assert_t_accum_shapes(&self, other: &Mat, out: &Mat) {
@@ -390,10 +389,10 @@ impl Mat {
         );
     }
 
-    /// The reference `selfᵀ · other` accumulation loop: single-threaded and
-    /// unblocked, the bit-exact definition of [`Mat::matmul_t_accum`]. The
-    /// library never calls it; the equivalence tests and the paired
-    /// benchmark do.
+    /// The reference `selfᵀ · other` accumulation loop, single-threaded and
+    /// unblocked, that [`Mat::matmul_t_accum_fast`] tracks to within
+    /// rounding error. The library never calls it; the equivalence tests
+    /// and the paired benchmark do.
     ///
     /// # Panics
     ///
@@ -416,96 +415,12 @@ impl Mat {
         }
     }
 
-    fn matmul_t_accum_pool(&self, other: &Mat, out: &mut Mat, pool: &ThreadPool) {
-        let (m, n) = (self.cols, other.cols);
-        let chunks = row_chunks(pool.threads(), m, self.rows.saturating_mul(n));
-        let block = m.div_ceil(chunks.max(1));
-        let out_ptr = RowsPtr(out.data.as_mut_ptr());
-        pool.run(chunks, &|c| {
-            let i0 = c * block;
-            let i1 = ((c + 1) * block).min(m);
-            if i0 >= i1 {
-                return;
-            }
-            // SAFETY: disjoint row blocks of `out`, confined by the pool's
-            // latch to this call — see `matmul_into_pool`.
-            let out_rows =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.at(i0 * n), (i1 - i0) * n) };
-            t_accum_rows_blocked(self, other, i0, i1, out_rows);
-        });
-    }
-
-    /// `self · otherᵀ`: `(m×k) · (n×k)ᵀ → (m×n)`.
-    ///
-    /// This is the input-gradient kernel `dX = dY·Wᵀ` (and the attention
-    /// score kernel `Q·Kᵀ`). Both operands are traversed row-contiguously,
-    /// so the inner loop is a dot product of two slices, and the kernel is
-    /// its own reference: the pool only spreads rows, each computed by the
-    /// same per-row dot loop. Runs on the global [`pool`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch, naming both shapes.
-    #[must_use]
-    pub fn matmul_bt(&self, other: &Mat) -> Mat {
-        self.matmul_bt_on(other, pool::global())
-    }
-
-    /// The `self · otherᵀ` kernel on an explicit pool —
-    /// bit-identical to [`Mat::matmul_bt`] at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch, naming both shapes.
-    #[must_use]
-    pub fn matmul_bt_on(&self, other: &Mat, pool: &ThreadPool) -> Mat {
-        self.assert_bt_shapes(other);
-        count_gemm_call();
-        let mut out = Mat::zeros(self.rows, other.rows);
-        self.matmul_bt_pool(other, &mut out, pool);
-        out
-    }
-
     fn assert_bt_shapes(&self, other: &Mat) {
         assert_eq!(
             self.cols, other.cols,
-            "matmul_bt: inner dimensions must agree (lhs {}x{} · rhsᵀ of {}x{})",
+            "matmul_bt_packed: inner dimensions must agree (lhs {}x{} · rhsᵀ of {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-    }
-
-    fn matmul_bt_pool(&self, other: &Mat, out: &mut Mat, pool: &ThreadPool) {
-        let (m, n) = (self.rows, other.rows);
-        let chunks = row_chunks(pool.threads(), m, self.cols.saturating_mul(n));
-        let block = m.div_ceil(chunks.max(1));
-        let out_ptr = RowsPtr(out.data.as_mut_ptr());
-        pool.run(chunks, &|c| {
-            let i0 = c * block;
-            let i1 = ((c + 1) * block).min(m);
-            if i0 >= i1 {
-                return;
-            }
-            // SAFETY: disjoint row blocks of `out`, confined by the pool's
-            // latch to this call — see `matmul_into_pool`.
-            let out_rows =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.at(i0 * n), (i1 - i0) * n) };
-            self.matmul_bt_rows(other, i0, i1, out_rows);
-        });
-    }
-
-    /// Rows `[i0, i1)` of `self · otherᵀ` into `out_rows` — the one inner
-    /// kernel every chunk runs, so any chunking agrees bit-for-bit by
-    /// construction.
-    fn matmul_bt_rows(&self, other: &Mat, i0: usize, i1: usize, out_rows: &mut [f32]) {
-        let n = other.rows;
-        for i in i0..i1 {
-            let a_row = self.row(i);
-            let base = (i - i0) * n;
-            let out_row = &mut out_rows[base..base + n];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o = dot(a_row, other.row(j));
-            }
-        }
     }
 
     /// Returns the transpose as a new matrix.
@@ -524,14 +439,12 @@ impl Mat {
     /// kernel.
     ///
     /// This packs `otherᵀ` into a contiguous buffer once and runs the
-    /// register-tiled `fast` kernel on the global [`pool`], which sustains
-    /// several times the throughput of [`Mat::matmul_bt`]'s latency-bound
-    /// four-accumulator dot. The price is a different per-element summation
-    /// order (and FMA rounding on CPUs that have it), so results differ from
-    /// `matmul_bt`, its reference, in the last bits. That makes this kernel
-    /// safe exactly where downstream consumers tolerate FP reassociation —
-    /// training — and unsafe in the forward sampling path, whose association
-    /// order is pinned by the golden-output tests. The result is
+    /// register-tiled `fast` kernel on the global [`pool`]. Its reference is
+    /// [`Mat::matmul_into_naive`] on `otherᵀ`; FMA rounding on CPUs that have
+    /// it makes the results differ from the reference in the last bits. That
+    /// makes this kernel safe exactly where downstream consumers tolerate FP
+    /// rounding differences — training — and unsafe in the forward sampling
+    /// path, whose bits are pinned by the golden-output tests. The result is
     /// bit-identical at any thread count.
     ///
     /// # Panics
@@ -594,9 +507,9 @@ impl Mat {
     ///
     /// Packs `selfᵀ` once (an O(r·m) copy against the O(r·m·n) product) so
     /// the reduction runs down contiguous rows. Same contract as
-    /// [`Mat::matmul_fast`]: thread-count invariant, association order
-    /// differs from [`Mat::matmul_t_accum`], training-path only. Runs on the
-    /// global [`pool`].
+    /// [`Mat::matmul_fast`]: thread-count invariant, rounding differs from
+    /// [`Mat::matmul_t_accum_naive`], training-path only. Runs on the global
+    /// [`pool`].
     ///
     /// # Panics
     ///
@@ -618,25 +531,10 @@ impl Mat {
         xt.fast_gemm_pool(other, out, pool, true);
     }
 
-    /// Chunks output rows across the pool and hands each disjoint block to
-    /// the [`crate::fast`] kernel. Each output row is produced entirely by
-    /// one chunk, so the chunk count (and thus thread count) can never
-    /// change the bits.
+    /// The [`crate::fast`] kernel over [`for_row_blocks`].
     fn fast_gemm_pool(&self, other: &Mat, out: &mut Mat, pool: &ThreadPool, accumulate: bool) {
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let chunks = row_chunks(pool.threads(), m, k.saturating_mul(n));
-        let block = m.div_ceil(chunks.max(1));
-        let out_ptr = RowsPtr(out.data.as_mut_ptr());
-        pool.run(chunks, &|c| {
-            let i0 = c * block;
-            let i1 = ((c + 1) * block).min(m);
-            if i0 >= i1 {
-                return;
-            }
-            // SAFETY: disjoint row blocks of `out`, confined by the pool's
-            // latch to this call — see `matmul_into_pool`.
-            let out_rows =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.at(i0 * n), (i1 - i0) * n) };
+        let (k, n) = (self.cols, other.cols);
+        for_row_blocks(out, k.saturating_mul(n), pool, |i0, i1, out_rows| {
             crate::fast::gemm_rows(&self.data, k, &other.data, n, i0..i1, out_rows, accumulate);
         });
     }
@@ -932,81 +830,6 @@ mod tiled {
     }
 }
 
-/// Rows `[i0, i1)` of `xᵀ · dy` accumulated into `out_rows`, cache-blocked
-/// over the reduction dimension `r` (the shared leading dimension).
-///
-/// Same bit-exactness contract as [`matmul_rows_blocked`]: the naive kernel
-/// accumulates each `out[i][j]` over ascending `r`, skipping `x[r][i] == 0`;
-/// swapping the loop nest to `i`-outer and tiling `r` preserves that
-/// per-element order exactly.
-fn t_accum_rows_blocked(x: &Mat, dy: &Mat, i0: usize, i1: usize, out_rows: &mut [f32]) {
-    let (rows, cols, n) = (x.rows, x.cols, dy.cols);
-    let mut rt = 0;
-    while rt < rows {
-        let rt_end = (rt + K_TILE).min(rows);
-        for i in i0..i1 {
-            let base = (i - i0) * n;
-            let out_row = &mut out_rows[base..base + n];
-            let mut r = rt;
-            while r + 8 <= rt_end {
-                let xv: [f32; 8] = std::array::from_fn(|d| x.data[(r + d) * cols + i]);
-                if xv.iter().all(|&v| v != 0.0) {
-                    let d0 = &dy.data[r * n..][..n];
-                    let d1 = &dy.data[(r + 1) * n..][..n];
-                    let d2 = &dy.data[(r + 2) * n..][..n];
-                    let d3 = &dy.data[(r + 3) * n..][..n];
-                    let d4 = &dy.data[(r + 4) * n..][..n];
-                    let d5 = &dy.data[(r + 5) * n..][..n];
-                    let d6 = &dy.data[(r + 6) * n..][..n];
-                    let d7 = &dy.data[(r + 7) * n..][..n];
-                    let (x0, x1, x2, x3) = (xv[0], xv[1], xv[2], xv[3]);
-                    let (x4, x5, x6, x7) = (xv[4], xv[5], xv[6], xv[7]);
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        let s = (((*o + x0 * d0[j]) + x1 * d1[j]) + x2 * d2[j]) + x3 * d3[j];
-                        *o = (((s + x4 * d4[j]) + x5 * d5[j]) + x6 * d6[j]) + x7 * d7[j];
-                    }
-                } else {
-                    for (d, &v) in xv.iter().enumerate() {
-                        if v != 0.0 {
-                            axpy(out_row, v, &dy.data[(r + d) * n..][..n]);
-                        }
-                    }
-                }
-                r += 8;
-            }
-            while r + 4 <= rt_end {
-                let x0 = x.data[r * cols + i];
-                let x1 = x.data[(r + 1) * cols + i];
-                let x2 = x.data[(r + 2) * cols + i];
-                let x3 = x.data[(r + 3) * cols + i];
-                if x0 != 0.0 && x1 != 0.0 && x2 != 0.0 && x3 != 0.0 {
-                    let d0 = &dy.data[r * n..][..n];
-                    let d1 = &dy.data[(r + 1) * n..][..n];
-                    let d2 = &dy.data[(r + 2) * n..][..n];
-                    let d3 = &dy.data[(r + 3) * n..][..n];
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        *o = (((*o + x0 * d0[j]) + x1 * d1[j]) + x2 * d2[j]) + x3 * d3[j];
-                    }
-                } else {
-                    for (d, xv) in [x0, x1, x2, x3].into_iter().enumerate() {
-                        if xv != 0.0 {
-                            axpy(out_row, xv, &dy.data[(r + d) * n..][..n]);
-                        }
-                    }
-                }
-                r += 4;
-            }
-            for r in r..rt_end {
-                let xv = x.data[r * cols + i];
-                if xv != 0.0 {
-                    axpy(out_row, xv, &dy.data[r * n..][..n]);
-                }
-            }
-        }
-        rt = rt_end;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1045,7 +868,7 @@ mod tests {
         let x = Mat::randn(5, 3, 1.0, &mut rng);
         let dy = Mat::randn(5, 4, 1.0, &mut rng);
         let mut acc = Mat::zeros(3, 4);
-        x.matmul_t_accum(&dy, &mut acc);
+        x.matmul_t_accum_fast(&dy, &mut acc);
         // Reference: transpose x manually then matmul.
         let mut xt = Mat::zeros(3, 5);
         for i in 0..5 {
@@ -1058,7 +881,7 @@ mod tests {
             assert!((a - e).abs() < 1e-4);
         }
         // Accumulation: calling again doubles.
-        x.matmul_t_accum(&dy, &mut acc);
+        x.matmul_t_accum_fast(&dy, &mut acc);
         for (a, e) in acc.as_slice().iter().zip(expect.as_slice()) {
             assert!((a - 2.0 * e).abs() < 1e-4);
         }
@@ -1069,7 +892,7 @@ mod tests {
         let mut rng = Rng::seed_from(7);
         let a = Mat::randn(4, 6, 1.0, &mut rng);
         let b = Mat::randn(3, 6, 1.0, &mut rng);
-        let got = a.matmul_bt(&b);
+        let got = a.matmul_bt_packed(&b);
         let mut bt = Mat::zeros(6, 3);
         for i in 0..3 {
             for j in 0..6 {

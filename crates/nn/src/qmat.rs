@@ -32,7 +32,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-use crate::mat::{count_gemm_call, Mat};
+use crate::mat::{chunk_count, count_gemm_call, Mat, OutPtr};
 use crate::pool;
 
 /// Values per quantization block (per-block f32 scale granularity).
@@ -319,13 +319,13 @@ impl QMat {
     ) {
         let pool = pool::global();
         let n = self.out_dim;
-        let chunks = col_chunks(pool.threads(), n, rows.saturating_mul(self.in_dim.max(1)));
+        let chunks = chunk_count(pool.threads(), n, rows.saturating_mul(self.in_dim.max(1)));
         // Chunk boundaries snap to whole column tiles so the AVX2 path
         // never straddles one; trailing chunks may come up empty. Chunking
         // never changes bits either way — every element is computed
         // start-to-finish by one thread in one fixed order.
         let block = n.div_ceil(chunks.max(1)).next_multiple_of(TILE);
-        let out_ptr = ColsPtr(out.as_mut_slice().as_mut_ptr());
+        let out_ptr = OutPtr::new(out.as_mut_slice());
         pool.run(chunks, &|c| {
             let j0 = (c * block).min(n);
             let j1 = ((c + 1) * block).min(n);
@@ -371,7 +371,7 @@ impl QMat {
         rows: usize,
         j0: usize,
         j1: usize,
-        out: ColsPtr,
+        out: OutPtr,
     ) {
         use std::arch::x86_64::{
             _mm256_add_epi32, _mm256_add_ps, _mm256_castsi256_si128, _mm256_cvtepi32_ps,
@@ -458,7 +458,7 @@ impl QMat {
         rows: usize,
         j0: usize,
         j1: usize,
-        out: ColsPtr,
+        out: OutPtr,
         dot: impl Fn(&[i8], &[i8]) -> i32,
     ) {
         let n = self.out_dim;
@@ -487,40 +487,6 @@ impl QMat {
         }
     }
 }
-
-/// How many column-range chunks to split the quantized matmul into.
-/// Mirrors the f32 kernels' heuristic: tiny jobs run single-chunk because
-/// waking parked workers costs more than the loop.
-fn col_chunks(threads: usize, cols: usize, work_per_col: usize) -> usize {
-    if threads <= 1 || cols < 2 || cols.saturating_mul(work_per_col) < (1 << 16) {
-        1
-    } else {
-        threads.min(cols)
-    }
-}
-
-/// Mutable base pointer smuggled into pool chunks; each chunk derives
-/// disjoint element offsets from its column range, so aliasing never
-/// occurs.
-#[derive(Clone, Copy)]
-struct ColsPtr(*mut f32);
-
-impl ColsPtr {
-    /// The pointer offset by `off` elements. A method (rather than field
-    /// access) so closures capture the whole `Sync` wrapper, not the raw
-    /// pointer inside it.
-    fn at(self, off: usize) -> *mut f32 {
-        // SAFETY: callers only offset within the allocation they wrapped.
-        unsafe { self.0.add(off) }
-    }
-}
-
-// SAFETY: chunks write disjoint column sets (enforced by the chunk → column
-// mapping in `matmul_quantized_rows`) and the pool's latch confines all
-// dereferences to the submitting call's stack frame.
-unsafe impl Send for ColsPtr {}
-// SAFETY: as above — shared access only ever touches disjoint elements.
-unsafe impl Sync for ColsPtr {}
 
 /// Whether the AVX2 paths should run: the CPU has the feature and
 /// portable dispatch is not forced. Both int8 paths return the same exact

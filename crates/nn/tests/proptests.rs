@@ -44,7 +44,7 @@ fn matmul_bt_consistent() {
                 bt.set(j, i, b.get(i, j));
             }
         }
-        let fast = a.matmul_bt(&b);
+        let fast = a.matmul_bt_packed(&b);
         let slow = a.matmul(&bt);
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-3, "seed {seed}: {x} vs {y}");
