@@ -36,7 +36,7 @@ use pagpass_nn::GptConfig;
 use pagpass_telemetry::{parse_json, JsonValue, LogFormat, Telemetry};
 use pagpass_tokenizer::VOCAB_SIZE;
 use pagpassgpt::{
-    run_with_listener, CancelToken, FaultPlan, InferenceSession, ModelKind, PasswordModel,
+    run_with_listeners, CancelToken, FaultPlan, InferenceSession, ModelKind, PasswordModel,
     ServeConfig, ServeReport,
 };
 
@@ -305,7 +305,7 @@ fn main() {
 
     let (report, closed, blast, storm) = thread::scope(|scope| {
         let server = scope.spawn(|| {
-            run_with_listener(&model, &listener, &cfg, &cancel, &tel, Some(&fault))
+            run_with_listeners(&model, &listener, None, &cfg, &cancel, &tel, Some(&fault))
                 .expect("server run")
         });
 

@@ -67,9 +67,7 @@ pub use inference::{InferenceSession, RulePrefix, FORWARD_MS_HISTOGRAM, PREFIX_R
 pub use journal::{DcGenJournal, JournalTask};
 pub use model::{ModelKind, PasswordModel};
 pub use sched::SchedulerKind;
-pub use serve::{
-    run_with_listener, run_with_listeners, ScoreOutcome, ServeConfig, ServeReport, ShedReason,
-};
+pub use serve::{run_with_listeners, ScoreOutcome, ServeConfig, ServeReport, ShedReason};
 pub use trainer::{CheckpointPolicy, TrainConfig, TrainOptions, TrainingReport};
 
 /// Locks `m`, riding through poisoning. Every mutex in this crate guards

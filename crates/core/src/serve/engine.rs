@@ -39,11 +39,18 @@ use crate::inference::InferenceSession;
 use crate::model::PasswordModel;
 use crate::{lock, panic_message};
 
-use super::queue::{AdmissionQueue, Pop};
+use super::queue::Pop;
+use super::{ServeConfig, Shared};
 
 /// How long a worker parks waiting for the first request of a wave before
 /// re-checking queue state.
 const IDLE_POLL: Duration = Duration::from_millis(50);
+
+/// Consecutive deadline-miss waves before the batch ceiling halves.
+const DEGRADE_AFTER: u32 = 3;
+
+/// Consecutive clean waves before the batch ceiling doubles back.
+const RECOVER_AFTER: u32 = 8;
 
 /// The terminal answer to one scoring request.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,6 +171,19 @@ impl ReqTrace {
             sampled,
         }
     }
+
+    /// Records one completed pipeline stage as a child span of the
+    /// request's root, exporting it to the JSONL sink when sampled.
+    pub(crate) fn child_span(
+        &self,
+        tracer: &TraceRecorder,
+        name: &str,
+        start_ms: u64,
+        dur_ms: f64,
+    ) {
+        let ctx = TraceCtx::child_of(self.trace_id, self.root_span);
+        tracer.record(ctx, name, start_ms, dur_ms, self.sampled);
+    }
 }
 
 /// One admitted scoring request travelling from the protocol layer through
@@ -200,8 +220,9 @@ impl std::fmt::Debug for ScoreRequest {
 }
 
 impl ScoreRequest {
-    // An internal constructor with two call sites (the NDJSON and HTTP
-    // planes); a builder would add ceremony without adding clarity.
+    // An internal constructor with one call site outside tests (`admit`,
+    // which both planes share); a builder would add ceremony without
+    // adding clarity.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         seq: u64,
@@ -228,16 +249,10 @@ impl ScoreRequest {
         }
     }
 
-    /// Records one completed pipeline stage as a child span of this
-    /// request's root, exporting it to the JSONL sink when sampled.
+    /// Records one completed pipeline stage of this request (see
+    /// [`ReqTrace::child_span`]).
     pub(crate) fn child_span(&self, name: &str, start_ms: u64, dur_ms: f64) {
-        self.tracer.record(
-            TraceCtx::child_of(self.trace.trace_id, self.trace.root_span),
-            name,
-            start_ms,
-            dur_ms,
-            self.trace.sampled,
-        );
+        self.trace.child_span(&self.tracer, name, start_ms, dur_ms);
     }
 
     /// Records queue wait (admission → dequeue) as a span + histogram;
@@ -296,33 +311,18 @@ impl Drop for ScoreRequest {
     }
 }
 
-/// Tunables for the batching workers.
-#[derive(Debug, Clone)]
-pub(crate) struct EngineConfig {
-    /// Hard ceiling on requests per forward (degraded mode only shrinks).
-    pub max_batch: usize,
-    /// Singleton panic re-scores before a request is declared poisoned.
-    pub retries: u32,
-    /// Consecutive deadline-miss waves before the batch ceiling halves.
-    pub degrade_after: u32,
-    /// Consecutive clean waves before the ceiling doubles back.
-    pub recover_after: u32,
-}
-
 /// The degraded-mode state machine, shared by every worker.
 ///
 /// States are the powers of two in `[1, max_batch]`. Transitions:
-/// `degrade_after` consecutive waves that shed at least one request for a
-/// missed deadline halve the effective ceiling (emitting a
-/// `serve.degraded` warning); `recover_after` consecutive clean waves
+/// [`DEGRADE_AFTER`] consecutive waves that shed at least one request for
+/// a missed deadline halve the effective ceiling (emitting a
+/// `serve.degraded` warning); [`RECOVER_AFTER`] consecutive clean waves
 /// double it (emitting `serve.recovered`). Mixed traffic resets both
 /// streaks, so oscillation needs sustained evidence in either direction.
 #[derive(Debug)]
 pub(crate) struct DegradeState {
     effective: AtomicUsize,
     max: usize,
-    degrade_after: u32,
-    recover_after: u32,
     streaks: Mutex<Streaks>,
 }
 
@@ -333,12 +333,10 @@ struct Streaks {
 }
 
 impl DegradeState {
-    pub(crate) fn new(cfg: &EngineConfig) -> DegradeState {
+    pub(crate) fn new(cfg: &ServeConfig) -> DegradeState {
         DegradeState {
             effective: AtomicUsize::new(cfg.max_batch.max(1)),
             max: cfg.max_batch.max(1),
-            degrade_after: cfg.degrade_after.max(1),
-            recover_after: cfg.recover_after.max(1),
             streaks: Mutex::new(Streaks::default()),
         }
     }
@@ -361,7 +359,7 @@ impl DegradeState {
         let next = if missed_deadline {
             s.clean = 0;
             s.miss += 1;
-            if s.miss < self.degrade_after {
+            if s.miss < DEGRADE_AFTER {
                 None
             } else {
                 s.miss = 0;
@@ -371,7 +369,7 @@ impl DegradeState {
         } else {
             s.miss = 0;
             s.clean += 1;
-            if s.clean < self.recover_after {
+            if s.clean < RECOVER_AFTER {
                 None
             } else {
                 s.clean = 0;
@@ -396,15 +394,14 @@ impl DegradeState {
 ///
 /// This function never panics outward: scoring panics are contained by
 /// [`score_wave`] and turned into per-request [`ScoreOutcome::Failed`]s.
-pub(crate) fn worker_loop(
-    model: &PasswordModel,
-    queue: &AdmissionQueue<ScoreRequest>,
-    cfg: &EngineConfig,
-    degrade: &DegradeState,
-    metrics: &ServeMetrics,
-    fault: Option<&FaultPlan>,
-    tel: &Telemetry,
-) {
+pub(super) fn worker_loop(model: &PasswordModel, shared: &Shared<'_>, fault: Option<&FaultPlan>) {
+    let Shared {
+        queue,
+        degrade,
+        metrics,
+        tel,
+        ..
+    } = shared;
     let mut session = InferenceSession::with_telemetry(model, tel);
     loop {
         let first = match queue.pop_timeout(IDLE_POLL) {
@@ -455,7 +452,7 @@ pub(crate) fn worker_loop(
         }
         metrics.occupancy.record(group.len() as f64);
         let wave_started = Instant::now();
-        score_wave(&mut session, group, cfg, metrics, fault);
+        score_wave(&mut session, group, shared.cfg, metrics, fault);
         metrics
             .wave_ms
             .record(wave_started.elapsed().as_secs_f64() * 1e3);
@@ -471,7 +468,7 @@ pub(crate) fn worker_loop(
 fn score_wave(
     session: &mut InferenceSession<'_>,
     group: Vec<ScoreRequest>,
-    cfg: &EngineConfig,
+    cfg: &ServeConfig,
     metrics: &ServeMetrics,
     fault: Option<&FaultPlan>,
 ) {
@@ -569,12 +566,10 @@ mod tests {
         )
     }
 
-    fn cfg() -> EngineConfig {
-        EngineConfig {
+    fn cfg() -> ServeConfig {
+        ServeConfig {
             max_batch: 8,
-            retries: 2,
-            degrade_after: 3,
-            recover_after: 8,
+            ..ServeConfig::default()
         }
     }
 
@@ -582,7 +577,7 @@ mod tests {
     /// `(seq, outcome)` pairs in response order.
     fn run_engine(
         model: &PasswordModel,
-        cfg: &EngineConfig,
+        cfg: &ServeConfig,
         fault: Option<&FaultPlan>,
         build: impl FnOnce(
             &Arc<ServeMetrics>,
@@ -590,20 +585,19 @@ mod tests {
         ) -> Vec<(ScoreRequest, Priority)>,
     ) -> (Vec<(u64, ScoreOutcome)>, Arc<ServeMetrics>) {
         let tel = &quiet_tel();
-        let metrics = ServeMetrics::new(tel);
+        let cancel = CancelToken::new();
+        let shared = Shared::new(cfg, &cancel, tel);
         let outcomes: Arc<Mutex<Vec<(u64, ScoreOutcome)>>> = Arc::new(Mutex::new(Vec::new()));
-        let queue = AdmissionQueue::new(64);
-        for (req, pri) in build(&metrics, &outcomes) {
-            metrics.admitted.inc();
-            queue.push(req, pri).map_err(|_| "push").unwrap();
+        for (req, pri) in build(&shared.metrics, &outcomes) {
+            shared.metrics.admitted.inc();
+            shared.queue.push(req, pri).map_err(|_| "push").unwrap();
         }
-        queue.close();
-        let degrade = DegradeState::new(cfg);
+        shared.queue.close();
         thread::scope(|s| {
-            s.spawn(|| worker_loop(model, &queue, cfg, &degrade, &metrics, fault, tel));
+            s.spawn(|| worker_loop(model, &shared, fault));
         });
         let got = lock(&outcomes).clone();
-        (got, metrics)
+        (got, Arc::clone(&shared.metrics))
     }
 
     fn request_with(
@@ -800,40 +794,33 @@ mod tests {
 
     #[test]
     fn degrade_state_halves_on_miss_streaks_and_recovers() {
-        let cfg = EngineConfig {
-            max_batch: 8,
-            retries: 0,
-            degrade_after: 2,
-            recover_after: 3,
-        };
         let tel = &quiet_tel();
         let metrics = ServeMetrics::new(tel);
-        let d = DegradeState::new(&cfg);
+        let d = DegradeState::new(&cfg());
+        let waves = |missed: bool, n: u32| {
+            for _ in 0..n {
+                d.record_wave(missed, &metrics, tel);
+            }
+        };
         assert_eq!(d.effective_max(), 8);
-        d.record_wave(true, &metrics, tel);
-        assert_eq!(d.effective_max(), 8, "one miss is not a streak");
-        d.record_wave(true, &metrics, tel);
-        assert_eq!(d.effective_max(), 4, "two misses halve");
-        d.record_wave(true, &metrics, tel);
-        d.record_wave(true, &metrics, tel);
-        d.record_wave(true, &metrics, tel);
-        d.record_wave(true, &metrics, tel);
+        waves(true, DEGRADE_AFTER - 1);
+        assert_eq!(d.effective_max(), 8, "a shorter miss run is not a streak");
+        waves(true, 1);
+        assert_eq!(d.effective_max(), 4, "DEGRADE_AFTER misses halve");
+        waves(true, 2 * DEGRADE_AFTER);
         assert_eq!(d.effective_max(), 1, "floor is one");
-        d.record_wave(true, &metrics, tel);
-        d.record_wave(true, &metrics, tel);
+        waves(true, DEGRADE_AFTER);
         assert_eq!(d.effective_max(), 1, "stays at the floor");
         // A clean streak interrupted by a miss restarts from zero.
-        d.record_wave(false, &metrics, tel);
-        d.record_wave(false, &metrics, tel);
-        d.record_wave(true, &metrics, tel);
-        d.record_wave(false, &metrics, tel);
-        d.record_wave(false, &metrics, tel);
+        waves(false, RECOVER_AFTER - 1);
+        waves(true, 1);
+        waves(false, RECOVER_AFTER - 1);
         assert_eq!(d.effective_max(), 1, "interrupted streak does not recover");
-        d.record_wave(false, &metrics, tel);
-        assert_eq!(d.effective_max(), 2, "three clean waves double");
-        for _ in 0..6 {
-            d.record_wave(false, &metrics, tel);
-        }
+        waves(false, 1);
+        assert_eq!(d.effective_max(), 2, "RECOVER_AFTER clean waves double");
+        waves(false, 2 * RECOVER_AFTER);
         assert_eq!(d.effective_max(), 8, "recovery is capped at max_batch");
+        waves(false, RECOVER_AFTER);
+        assert_eq!(d.effective_max(), 8, "and stays there");
     }
 }

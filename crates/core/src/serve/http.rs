@@ -1,4 +1,4 @@
-//! Zero-dependency HTTP/1.1 observability plane for the scoring server.
+//! Zero-dependency HTTP/1.1 request plane for the scoring server.
 //!
 //! A second listener (enabled by `--http-port`) serves four endpoints:
 //!
@@ -9,34 +9,34 @@
 //! * `GET /statusz` — live JSON: queue depth and capacity, effective batch
 //!   ceiling, pool state, terminal counters, and the most recent completed
 //!   spans from the telemetry ring.
-//! * `POST /score` — the same request object the NDJSON protocol accepts
-//!   (`{"password", "id", "deadline_ms", "trace_id"}`), bridged to the
-//!   same admission queue and scoring workers. The response body is the
-//!   NDJSON response line, so scores are bit-identical across planes and
-//!   both feed one reconciliation invariant.
+//! * `POST /score` — the same request object the NDJSON plane accepts
+//!   (`{"password", "id", "deadline_ms", "trace_id"}`), admitted by the
+//!   same `admit` into the same queue and workers. The response body is
+//!   the NDJSON response line, so scores are bit-identical across planes
+//!   and both feed one reconciliation invariant. What this plane adds is
+//!   framing: the UTF-8 body check, a bounded wait for the engine's answer,
+//!   and the status mapping (`429` with `Retry-After` when the queue is
+//!   full, `503` when draining, `400` for a malformed body).
 //!
 //! The parser is hand-rolled over `std::net` — request line, headers,
 //! `Content-Length` bodies, HTTP/1.1 keep-alive — and caps the head at
 //! [`MAX_HEAD_BYTES`] and the body at [`MAX_BODY_BYTES`]. The plane stays
 //! up through the drain (see `run_with_listeners`): connections only close
-//! once the `stop` token fires *and* the socket goes idle, so a monitor
+//! once the HTTP stop token fires *and* the socket goes idle, so a monitor
 //! holding a keep-alive connection observes `/healthz` flip to draining.
+//! Open connections are counted in the `serve.http_connections` gauge.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::Scope;
-use std::time::{Duration, Instant};
+use std::net::TcpStream;
+use std::sync::mpsc;
+use std::time::Duration;
 
-use pagpass_telemetry::{render_prometheus, wall_clock_ms, Telemetry, TraceCtx, TraceRecorder};
+use pagpass_telemetry::render_prometheus;
 
-use crate::control::{CancelToken, Deadline};
+use crate::control::CancelToken;
 
-use super::engine::{DegradeState, ReqTrace, ScoreOutcome, ScoreRequest, ServeMetrics};
-use super::queue::{AdmissionQueue, Priority, PushError};
-use super::tcp::{self, ACCEPT_POLL};
-use super::ServeConfig;
+use super::tcp;
+use super::{admit, OpenConn, ScoreOutcome, Shared, READ_POLL};
 
 /// Hard cap on one request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -44,51 +44,12 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Hard cap on one request body; matches the NDJSON line cap.
 const MAX_BODY_BYTES: usize = tcp::MAX_LINE_BYTES;
 
-/// How long socket reads block before re-checking the stop token.
-const READ_POLL: Duration = Duration::from_millis(50);
-
 /// How long `POST /score` waits for the engine before giving up; far past
 /// any plausible drain, so hitting it indicates a wedged server.
 const SCORE_WAIT: Duration = Duration::from_secs(120);
 
 /// Recent-span window returned by `GET /statusz`.
 const STATUSZ_SPANS: usize = 128;
-
-/// Everything an HTTP connection handler needs, borrowed from the server
-/// scope.
-pub(super) struct HttpShared<'a> {
-    pub queue: &'a AdmissionQueue<ScoreRequest>,
-    pub metrics: &'a Arc<ServeMetrics>,
-    pub cfg: &'a ServeConfig,
-    /// The server's drain token: cancelled means `/healthz` is draining
-    /// and `POST /score` admissions are refused by the closed queue.
-    pub server_cancel: &'a CancelToken,
-    /// Fires only after the drain completes; closes the HTTP plane.
-    pub stop: &'a CancelToken,
-    pub seq: &'a AtomicU64,
-    pub degrade: &'a DegradeState,
-    pub tel: &'a Telemetry,
-    pub tracer: &'a TraceRecorder,
-}
-
-/// Accepts observability connections until the stop token fires, spawning
-/// one handler thread per connection into `scope`.
-pub(super) fn http_loop<'scope>(
-    scope: &'scope Scope<'scope, '_>,
-    listener: &TcpListener,
-    shared: &'scope HttpShared<'scope>,
-) {
-    while !shared.stop.is_cancelled() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                scope.spawn(move || handle_connection(stream, shared));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            // Transient accept errors: back off, keep serving.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
 
 /// One parsed HTTP request.
 struct HttpRequest {
@@ -102,7 +63,7 @@ struct HttpRequest {
 /// until the client goes away, an error closes the stream, or the stop
 /// token fires *and* the socket goes idle for one read-poll (so requests
 /// already in flight at stop time are still answered).
-fn handle_connection(mut stream: TcpStream, shared: &HttpShared<'_>) {
+pub(super) fn handle_connection(mut stream: TcpStream, shared: &Shared<'_>) {
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
@@ -110,14 +71,11 @@ fn handle_connection(mut stream: TcpStream, shared: &HttpShared<'_>) {
     // body waits for the client's delayed ACK of the head. A socket that
     // refuses the option is still served.
     let _ = stream.set_nodelay(true);
-    // ORD: gauge display only; churn tolerance is fine.
-    let gauge = &shared.metrics.http_connections;
-    gauge.set(gauge.get() + 1.0);
+    let _open = OpenConn::new(&shared.http_connections, &shared.metrics.http_connections);
     serve_connection(&mut stream, shared);
-    gauge.set((gauge.get() - 1.0).max(0.0));
 }
 
-fn serve_connection(stream: &mut TcpStream, shared: &HttpShared<'_>) {
+fn serve_connection(stream: &mut TcpStream, shared: &Shared<'_>) {
     let mut acc: Vec<u8> = Vec::new();
     let mut buf = [0u8; 4096];
     loop {
@@ -146,7 +104,7 @@ fn serve_connection(stream: &mut TcpStream, shared: &HttpShared<'_>) {
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 // Idle. Once the post-drain stop fired, an idle connection
                 // has nothing left to wait for.
-                if shared.stop.is_cancelled() && acc.is_empty() {
+                if shared.http_stop.is_cancelled() && acc.is_empty() {
                     return;
                 }
             }
@@ -222,77 +180,62 @@ fn find_head_end(acc: &[u8]) -> Option<usize> {
 
 /// Routes one request. Returns false when the connection must close (a
 /// write failed).
-fn respond_to(stream: &mut TcpStream, req: &HttpRequest, shared: &HttpShared<'_>) -> bool {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/metrics") => {
-            let body = render_prometheus(&shared.tel.snapshot());
-            write_response(
-                stream,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                body.as_bytes(),
-                req.keep_alive,
-                None,
-            )
-        }
+fn respond_to(stream: &mut TcpStream, req: &HttpRequest, shared: &Shared<'_>) -> bool {
+    let (status, content_type, body) = match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/metrics") => (
+            "200 OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            render_prometheus(&shared.tel.snapshot()),
+        ),
         ("GET", "/healthz") => {
-            let (status, body) = if shared.server_cancel.is_cancelled() {
+            let (status, body) = if shared.cancel.is_cancelled() {
                 ("503 Service Unavailable", "draining\n")
             } else if shared.degrade.effective_max() < shared.cfg.max_batch.max(1) {
                 ("200 OK", "degraded\n")
             } else {
                 ("200 OK", "ok\n")
             };
-            write_response(
-                stream,
-                status,
-                "text/plain",
-                body.as_bytes(),
-                req.keep_alive,
-                None,
-            )
+            (status, "text/plain", body.to_string())
         }
-        ("GET", "/statusz") => {
-            let body = render_statusz(shared);
-            write_response(
-                stream,
-                "200 OK",
-                "application/json",
-                body.as_bytes(),
-                req.keep_alive,
-                None,
-            )
-        }
-        ("POST", "/score") => score_over_http(stream, req, shared),
-        (_, "/metrics" | "/healthz" | "/statusz" | "/score") => write_response(
-            stream,
+        ("GET", "/statusz") => ("200 OK", "application/json", render_statusz(shared)),
+        ("POST", "/score") => return score_over_http(stream, req, shared),
+        (_, "/metrics" | "/healthz" | "/statusz" | "/score") => (
             "405 Method Not Allowed",
             "text/plain",
-            b"method not allowed\n",
-            req.keep_alive,
-            None,
+            "method not allowed\n".to_string(),
         ),
-        _ => write_response(
-            stream,
-            "404 Not Found",
-            "text/plain",
-            b"not found\n",
-            req.keep_alive,
-            None,
-        ),
-    }
+        _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
+    };
+    write_response(
+        stream,
+        status,
+        content_type,
+        body.as_bytes(),
+        req.keep_alive,
+        None,
+    )
 }
 
-/// Bridges one `POST /score` body — the NDJSON request object — into the
-/// shared admission queue, waits for the engine's answer, and maps the
-/// outcome to an HTTP status. The body of every answered request is the
-/// exact NDJSON response line, bit-identical scores included.
-fn score_over_http(stream: &mut TcpStream, req: &HttpRequest, shared: &HttpShared<'_>) -> bool {
-    let admit_started = Instant::now();
-    let admit_wall_ms = wall_clock_ms();
-    let Ok(line) = std::str::from_utf8(&req.body) else {
-        shared.metrics.bad_requests.inc();
-        let body = tcp::render_error(None, "bad request: body is not UTF-8");
+/// Admits one `POST /score` body — the NDJSON request object — waits for
+/// the engine's answer, and maps the outcome to an HTTP status. The body
+/// of every answered request is the exact NDJSON response line,
+/// bit-identical scores included.
+fn score_over_http(stream: &mut TcpStream, req: &HttpRequest, shared: &Shared<'_>) -> bool {
+    let (outcome_tx, outcome_rx) = mpsc::sync_channel(1);
+    // The handler thread may have timed out and gone; dropping the outcome
+    // then is fine — terminal accounting already happened.
+    let respond = move |reply, outcome| {
+        let _ = outcome_tx.send((reply, outcome));
+    };
+    let admitted = match std::str::from_utf8(&req.body) {
+        Ok(text) => admit(shared, text.trim(), CancelToken::new(), respond),
+        Err(_) => {
+            shared.metrics.bad_requests.inc();
+            Err("bad request: body is not UTF-8".to_string())
+        }
+    };
+    if let Err(why) = admitted {
+        let body = tcp::render_error(&why);
         return write_response(
             stream,
             "400 Bad Request",
@@ -301,73 +244,8 @@ fn score_over_http(stream: &mut TcpStream, req: &HttpRequest, shared: &HttpShare
             req.keep_alive,
             None,
         );
-    };
-    let (password, id, explicit_deadline, client_trace_id) = match tcp::parse_request(line.trim()) {
-        Ok(parts) => parts,
-        Err(why) => {
-            shared.metrics.bad_requests.inc();
-            let body = tcp::render_error(None, &why);
-            return write_response(
-                stream,
-                "400 Bad Request",
-                "application/json",
-                body.as_bytes(),
-                req.keep_alive,
-                None,
-            );
-        }
-    };
-    let deadline = explicit_deadline
-        .map(Deadline::after)
-        .or_else(|| shared.cfg.default_deadline.map(Deadline::after));
-    let priority = if explicit_deadline.is_some() {
-        Priority::High
-    } else {
-        Priority::Normal
-    };
-    // ORD: Relaxed — seq only needs uniqueness; the queue push is the
-    // synchronizing op, exactly as in the NDJSON plane.
-    let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
-    let sampled = shared.cfg.trace_sample > 0 && seq.is_multiple_of(shared.cfg.trace_sample);
-    let trace = ReqTrace::new(client_trace_id, sampled);
-    let (outcome_tx, outcome_rx) = mpsc::sync_channel::<ScoreOutcome>(1);
-    let responder = move |outcome: ScoreOutcome| {
-        // The handler thread may have timed out and gone; dropping the
-        // outcome then is fine — terminal accounting already happened.
-        let _ = outcome_tx.send(outcome);
-    };
-    let request = ScoreRequest::new(
-        seq,
-        password,
-        deadline,
-        CancelToken::new(),
-        Arc::clone(shared.metrics),
-        shared.tracer.clone(),
-        trace,
-        responder,
-    );
-    shared.tracer.record(
-        TraceCtx::child_of(trace.trace_id, trace.root_span),
-        "serve.admission",
-        admit_wall_ms,
-        admit_started.elapsed().as_secs_f64() * 1e3,
-        trace.sampled,
-    );
-    match shared.queue.push(request, priority) {
-        Ok(()) => {
-            shared.metrics.admitted.inc();
-            shared.metrics.queue_depth.set(shared.queue.len() as f64);
-        }
-        Err(PushError::Full(mut request)) => request.respond(ScoreOutcome::Rejected {
-            retry_after_ms: shared.cfg.retry_after_ms,
-            draining: false,
-        }),
-        Err(PushError::Closed(mut request)) => request.respond(ScoreOutcome::Rejected {
-            retry_after_ms: shared.cfg.retry_after_ms,
-            draining: true,
-        }),
     }
-    let Ok(outcome) = outcome_rx.recv_timeout(SCORE_WAIT) else {
+    let Ok((reply, outcome)) = outcome_rx.recv_timeout(SCORE_WAIT) else {
         return write_response(
             stream,
             "504 Gateway Timeout",
@@ -385,34 +263,23 @@ fn score_over_http(stream: &mut TcpStream, req: &HttpRequest, shared: &HttpShare
         } => ("429 Too Many Requests", Some(*retry_after_ms)),
         _ => ("200 OK", None),
     };
-    let echo = trace.client_supplied.then_some(trace.trace_id);
-    let body = tcp::render_response(id, echo, &outcome);
-    let write_started = Instant::now();
-    let write_wall_ms = wall_clock_ms();
-    let ok = write_response(
-        stream,
-        status,
-        "application/json",
-        body.as_bytes(),
-        req.keep_alive,
-        retry_after,
-    );
-    let write_ms = write_started.elapsed().as_secs_f64() * 1e3;
-    shared.metrics.response_write.record(write_ms);
-    shared.tracer.record(
-        TraceCtx::child_of(trace.trace_id, trace.root_span),
-        "serve.response_write",
-        write_wall_ms,
-        write_ms,
-        trace.sampled,
-    );
-    ok
+    let body = reply.render(&outcome);
+    reply.timed_write(&shared.metrics, &shared.tracer, || {
+        write_response(
+            stream,
+            status,
+            "application/json",
+            body.as_bytes(),
+            req.keep_alive,
+            retry_after,
+        )
+    })
 }
 
 /// Live server state as one JSON document.
-fn render_statusz(shared: &HttpShared<'_>) -> String {
+fn render_statusz(shared: &Shared<'_>) -> String {
     use std::fmt::Write as _;
-    let m = shared.metrics;
+    let m = &shared.metrics;
     let mut out = String::with_capacity(1024);
     let _ = write!(
         out,
@@ -421,7 +288,7 @@ fn render_statusz(shared: &HttpShared<'_>) -> String {
          \"connections\":{},\"http_connections\":{},\
          \"admitted\":{},\"completed\":{},\"shed\":{},\"failed\":{},\
          \"rejected\":{},\"lost\":{},\"recent_spans\":[",
-        shared.server_cancel.is_cancelled(),
+        shared.cancel.is_cancelled(),
         shared.queue.len(),
         shared.cfg.queue_cap,
         shared.degrade.effective_max(),

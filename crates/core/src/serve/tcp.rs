@@ -1,42 +1,40 @@
-//! Newline-delimited-JSON protocol layer for the scoring server.
+//! Newline-delimited-JSON request plane for the scoring server.
 //!
 //! One TCP connection carries many requests: each line is a JSON object
 //! `{"password": "...", "id": 7, "deadline_ms": 250, "trace_id": 9}`
 //! (`id`, `deadline_ms`, and `trace_id` optional) and each response is one
-//! JSON line tagged with the request's `id` when it had one. Requests
-//! carrying an explicit `deadline_ms` are admitted into the high-priority
-//! lane. A client-supplied `trace_id` names the request's trace (echoed
-//! back as `"trace_id"` on the response); without one the server allocates
-//! a fresh id. Either way every pipeline stage records a child span under
-//! that trace — in the in-memory span ring always, and to the JSONL sink
-//! for every `trace_sample`-th request.
+//! JSON line tagged with the request's `id` when it had one. Every line
+//! goes through the admission step both planes share (`admit` in the
+//! parent module): an explicit `deadline_ms` takes the high-priority lane,
+//! and a client-supplied `trace_id` names the request's trace (echoed back
+//! as `"trace_id"` on the response).
 //!
-//! Per connection the server runs a reader thread and a writer thread
-//! joined by a bounded channel, so one slow client can neither stall a
-//! scoring worker nor buffer responses unboundedly: when the client stops
-//! draining its socket the channel fills and further responses for that
-//! connection are dropped (counted as `serve.dropped_responses`), never
-//! queued without limit. A malformed line is answered immediately with an
-//! error and is never admitted; a line longer than [`MAX_LINE_BYTES`]
-//! closes the connection.
+//! What this plane owns is framing. Per connection the server runs a
+//! reader thread and a writer thread joined by a bounded channel, so one
+//! slow client can neither stall a scoring worker nor buffer responses
+//! unboundedly: when the client stops draining its socket the channel
+//! fills and further responses for that connection are dropped (counted as
+//! `serve.dropped_responses`), never queued without limit. A malformed
+//! line is answered immediately with an error and is never admitted; a
+//! line longer than [`MAX_LINE_BYTES`] closes the connection.
+//!
+//! [`parse_request`] and [`render_response`] define the request object and
+//! the response line for both planes: an HTTP `POST /score` body is a
+//! request object, and its response body is the response line.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc};
+use std::net::TcpStream;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread::Scope;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use pagpass_telemetry::{
-    parse_json, wall_clock_ms, write_json_f64, write_json_str, JsonValue, TraceCtx, TraceRecorder,
-};
+use pagpass_telemetry::{parse_json, write_json_f64, write_json_str, JsonValue};
 
-use crate::control::{CancelToken, Deadline};
+use crate::control::CancelToken;
 
-use super::engine::{ReqTrace, ScoreOutcome, ScoreRequest, ServeMetrics};
-use super::queue::{AdmissionQueue, Priority, PushError};
-use super::ServeConfig;
+use super::engine::{ScoreOutcome, ServeMetrics};
+use super::{admit, OpenConn, Reply, Shared, READ_POLL};
 
 /// Hard cap on one request line; beyond this the connection is closed.
 pub(super) const MAX_LINE_BYTES: usize = 64 * 1024;
@@ -45,46 +43,13 @@ pub(super) const MAX_LINE_BYTES: usize = 64 * 1024;
 /// them.
 const RESPONSE_CHANNEL_DEPTH: usize = 1024;
 
-/// How long socket reads block before re-checking cancellation.
-const READ_POLL: Duration = Duration::from_millis(50);
-
-/// How long the acceptor sleeps when no connection is pending.
-pub(super) const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
-/// Everything a connection handler needs, borrowed from the server scope.
-pub(super) struct ConnShared<'a> {
-    pub queue: &'a AdmissionQueue<ScoreRequest>,
-    pub metrics: &'a Arc<ServeMetrics>,
-    pub cfg: &'a ServeConfig,
-    pub server_cancel: &'a CancelToken,
-    pub seq: &'a AtomicU64,
-    pub active_readers: &'a AtomicUsize,
-    pub connections: &'a AtomicUsize,
-    pub tracer: &'a TraceRecorder,
-}
-
-/// Accepts connections until the server token cancels, spawning a
-/// reader/writer pair per connection into `scope`.
-pub(super) fn accept_loop<'scope>(
-    scope: &'scope Scope<'scope, '_>,
-    listener: &TcpListener,
-    shared: &'scope ConnShared<'scope>,
-) {
-    while !shared.server_cancel.is_cancelled() {
-        match listener.accept() {
-            Ok((stream, _peer)) => spawn_connection(scope, stream, shared),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            // Transient accept errors (aborted handshake, fd pressure):
-            // back off and keep serving existing connections.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-fn spawn_connection<'scope>(
+/// Serves one accepted connection: a reader/writer thread pair spawned
+/// into `scope`. The connection counts as open, and holds up the drain,
+/// from here until its reader exits.
+pub(super) fn spawn_connection<'scope>(
     scope: &'scope Scope<'scope, '_>,
     stream: TcpStream,
-    shared: &'scope ConnShared<'scope>,
+    shared: &'scope Shared<'scope>,
 ) {
     // Each response is one small write; under Nagle's algorithm it waits
     // for the client's delayed ACK whenever an earlier one is unacknowledged.
@@ -94,22 +59,11 @@ fn spawn_connection<'scope>(
         return;
     };
     let (resp_tx, resp_rx) = mpsc::sync_channel::<String>(RESPONSE_CHANNEL_DEPTH);
-    // ORD: AcqRel so the returned count pairs with the matching
-    // decrement and the gauge never goes negative under churn.
-    let n = shared.connections.fetch_add(1, Ordering::AcqRel) + 1;
-    shared.metrics.connections.set(n as f64);
-    // ORD: AcqRel pairs increment/decrement with the drain loop's
-    // Acquire read, so zero means every reader has really exited.
-    shared.active_readers.fetch_add(1, Ordering::AcqRel);
+    let open = OpenConn::new(&shared.connections, &shared.metrics.connections);
     scope.spawn(move || writer_loop(write_half, resp_rx));
     scope.spawn(move || {
         reader_loop(stream, resp_tx, shared);
-        // ORD: AcqRel, see the matching increment above.
-        let n = shared.connections.fetch_sub(1, Ordering::AcqRel) - 1;
-        shared.metrics.connections.set(n as f64);
-        // ORD: AcqRel releases this reader's admissions before the
-        // drain loop can observe zero and close the queue.
-        shared.active_readers.fetch_sub(1, Ordering::AcqRel);
+        drop(open);
     });
 }
 
@@ -128,7 +82,7 @@ fn writer_loop(mut stream: TcpStream, responses: Receiver<String>) {
 /// Client disconnect cancels the connection token so queued requests are
 /// shed instead of scored for nobody; server drain leaves the token alone
 /// so admitted requests still complete and flush.
-fn reader_loop(mut stream: TcpStream, resp_tx: SyncSender<String>, shared: &ConnShared<'_>) {
+fn reader_loop(mut stream: TcpStream, resp_tx: SyncSender<String>, shared: &Shared<'_>) {
     let conn_cancel = CancelToken::new();
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
@@ -136,7 +90,7 @@ fn reader_loop(mut stream: TcpStream, resp_tx: SyncSender<String>, shared: &Conn
     let mut acc: Vec<u8> = Vec::new();
     let mut buf = [0u8; 4096];
     loop {
-        if shared.server_cancel.is_cancelled() {
+        if shared.cancel.is_cancelled() {
             return;
         }
         match stream.read(&mut buf) {
@@ -154,8 +108,8 @@ fn reader_loop(mut stream: TcpStream, resp_tx: SyncSender<String>, shared: &Conn
                     shared.metrics.bad_requests.inc();
                     send_response(
                         &resp_tx,
-                        shared.metrics,
-                        render_error(None, "request line exceeds 64 KiB"),
+                        &shared.metrics,
+                        render_error("request line exceeds 64 KiB"),
                     );
                     conn_cancel.cancel();
                     return;
@@ -177,93 +131,31 @@ fn reader_loop(mut stream: TcpStream, resp_tx: SyncSender<String>, shared: &Conn
     }
 }
 
-/// Parses one request line and either admits it or answers immediately
-/// (malformed input, full queue, draining server).
+/// Admits one request line; its answer, or the parse error, goes to the
+/// connection's writer as one response line. Blank lines are skipped.
 fn handle_line(
     raw: &[u8],
     resp_tx: &SyncSender<String>,
     conn_cancel: &CancelToken,
-    shared: &ConnShared<'_>,
+    shared: &Shared<'_>,
 ) {
-    let admit_started = Instant::now();
-    let admit_wall_ms = wall_clock_ms();
     let line = String::from_utf8_lossy(raw);
     let line = line.trim();
     if line.is_empty() {
         return;
     }
-    let (password, id, explicit_deadline, client_trace_id) = match parse_request(line) {
-        Ok(parts) => parts,
-        Err(why) => {
-            shared.metrics.bad_requests.inc();
-            send_response(resp_tx, shared.metrics, render_error(None, &why));
-            return;
-        }
-    };
-    let deadline = explicit_deadline
-        .map(Deadline::after)
-        .or_else(|| shared.cfg.default_deadline.map(Deadline::after));
-    let priority = if explicit_deadline.is_some() {
-        Priority::High
-    } else {
-        Priority::Normal
-    };
-    // ORD: Relaxed — seq only needs uniqueness, not ordering; the
-    // queue push that publishes the request is the synchronizing op.
-    let seq = shared.seq.fetch_add(1, Ordering::Relaxed);
-    let sampled = shared.cfg.trace_sample > 0 && seq.is_multiple_of(shared.cfg.trace_sample);
-    let trace = ReqTrace::new(client_trace_id, sampled);
     let responder = {
         let resp_tx = resp_tx.clone();
-        let metrics = Arc::clone(shared.metrics);
+        let metrics = Arc::clone(&shared.metrics);
         let tracer = shared.tracer.clone();
-        move |outcome: ScoreOutcome| {
-            let write_started = Instant::now();
-            let write_wall_ms = wall_clock_ms();
-            let echo = trace.client_supplied.then_some(trace.trace_id);
-            send_response(&resp_tx, &metrics, render_response(id, echo, &outcome));
-            let write_ms = write_started.elapsed().as_secs_f64() * 1e3;
-            metrics.response_write.record(write_ms);
-            tracer.record(
-                TraceCtx::child_of(trace.trace_id, trace.root_span),
-                "serve.response_write",
-                write_wall_ms,
-                write_ms,
-                trace.sampled,
-            );
+        move |reply: Reply, outcome: ScoreOutcome| {
+            reply.timed_write(&metrics, &tracer, || {
+                send_response(&resp_tx, &metrics, reply.render(&outcome));
+            });
         }
     };
-    let request = ScoreRequest::new(
-        seq,
-        password,
-        deadline,
-        conn_cancel.clone(),
-        Arc::clone(shared.metrics),
-        shared.tracer.clone(),
-        trace,
-        responder,
-    );
-    // Admission span: line received → about to enqueue (parse + build).
-    shared.tracer.record(
-        TraceCtx::child_of(trace.trace_id, trace.root_span),
-        "serve.admission",
-        admit_wall_ms,
-        admit_started.elapsed().as_secs_f64() * 1e3,
-        trace.sampled,
-    );
-    match shared.queue.push(request, priority) {
-        Ok(()) => {
-            shared.metrics.admitted.inc();
-            shared.metrics.queue_depth.set(shared.queue.len() as f64);
-        }
-        Err(PushError::Full(mut request)) => request.respond(ScoreOutcome::Rejected {
-            retry_after_ms: shared.cfg.retry_after_ms,
-            draining: false,
-        }),
-        Err(PushError::Closed(mut request)) => request.respond(ScoreOutcome::Rejected {
-            retry_after_ms: shared.cfg.retry_after_ms,
-            draining: true,
-        }),
+    if let Err(why) = admit(shared, line, conn_cancel.clone(), responder) {
+        send_response(resp_tx, &shared.metrics, render_error(&why));
     }
 }
 
@@ -299,11 +191,8 @@ pub(super) fn parse_request(
 /// Hands a rendered response line to the connection's writer, counting it
 /// as dropped when the slow-client buffer is full or the writer is gone.
 fn send_response(resp_tx: &SyncSender<String>, metrics: &ServeMetrics, line: String) {
-    match resp_tx.try_send(line) {
-        Ok(()) => {}
-        Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-            metrics.dropped_responses.inc();
-        }
+    if resp_tx.try_send(line).is_err() {
+        metrics.dropped_responses.inc();
     }
 }
 
@@ -372,8 +261,9 @@ pub(super) fn render_response(
     out
 }
 
-pub(super) fn render_error(id: Option<u64>, why: &str) -> String {
-    render_response(id, None, &ScoreOutcome::Unscorable(why.to_string()))
+/// Renders the answer to a request that was never admitted.
+pub(super) fn render_error(why: &str) -> String {
+    render_response(None, None, &ScoreOutcome::Unscorable(why.to_string()))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pagpass_nn::GptConfig;
 use pagpass_telemetry::{parse_json, JsonValue, LogFormat, Telemetry};
@@ -309,5 +309,45 @@ fn http_score_rejections_map_to_status_codes() {
     );
     assert_eq!(report.bad_requests, 1);
     assert_eq!(report.admitted, 1);
+    assert!(report.reconciles(), "{report:?}");
+}
+
+#[test]
+fn http_connection_gauge_counts_the_open_connections_after_churn() {
+    const CHURNERS: usize = 8;
+    const CYCLES: usize = 40;
+    const HELD: usize = 3;
+    // Each poll is one more open connection.
+    let open_now = Some((HELD + 1) as f64);
+    let mut gauge = None;
+    let report = with_http_server(
+        ServeConfig::default(),
+        |_ndjson_addr, http_addr, _cancel| {
+            // Connections opening and closing at once on many handler threads.
+            thread::scope(|s| {
+                for _ in 0..CHURNERS {
+                    s.spawn(move || {
+                        for _ in 0..CYCLES {
+                            drop(TcpStream::connect(http_addr).expect("connect http"));
+                        }
+                    });
+                }
+            });
+            let held: Vec<_> = (0..HELD).map(|_| connect_http(http_addr)).collect();
+            // A handler sees its client's close a moment later, so poll until
+            // the churn has settled. The assertion waits until the server has
+            // drained: a panic here would leave it running.
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while gauge != open_now && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(20));
+                let mut poll = connect_http(http_addr);
+                let resp = http_roundtrip(&mut poll, "GET", "/statusz", None, true);
+                let status = parse_json(resp.body.trim()).expect("statusz is JSON");
+                gauge = status.get("http_connections").and_then(JsonValue::as_f64);
+            }
+            drop(held);
+        },
+    );
+    assert_eq!(gauge, open_now, "serve.http_connections after churn");
     assert!(report.reconciles(), "{report:?}");
 }

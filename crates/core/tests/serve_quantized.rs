@@ -17,7 +17,7 @@ use pagpass_nn::{set_kernel_mode, GptConfig, KernelMode};
 use pagpass_telemetry::{parse_json, JsonValue, LogFormat, Telemetry};
 use pagpass_tokenizer::VOCAB_SIZE;
 use pagpassgpt::{
-    run_with_listener, CancelToken, InferenceSession, ModelKind, PasswordModel, ServeConfig,
+    run_with_listeners, CancelToken, InferenceSession, ModelKind, PasswordModel, ServeConfig,
 };
 
 fn tiny() -> PasswordModel {
@@ -46,7 +46,7 @@ fn serve_once(pws: &[&str]) -> HashMap<String, f64> {
     let cfg = ServeConfig::default();
     thread::scope(|s| {
         let server = s.spawn(|| {
-            run_with_listener(&model, &listener, &cfg, &cancel, &tel, None).expect("serve")
+            run_with_listeners(&model, &listener, None, &cfg, &cancel, &tel, None).expect("serve")
         });
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream

@@ -13,7 +13,7 @@ use pagpass_nn::GptConfig;
 use pagpass_telemetry::{parse_json, JsonValue, LogFormat, Telemetry};
 use pagpass_tokenizer::VOCAB_SIZE;
 use pagpassgpt::{
-    run_with_listener, CancelToken, InferenceSession, ModelKind, PasswordModel, ServeConfig,
+    run_with_listeners, CancelToken, InferenceSession, ModelKind, PasswordModel, ServeConfig,
     ServeReport,
 };
 
@@ -65,7 +65,7 @@ fn with_server(cfg: ServeConfig, client: impl FnOnce(std::net::SocketAddr) + Sen
     let tel = quiet_tel();
     thread::scope(|s| {
         let server = s.spawn(|| {
-            run_with_listener(&model, &listener, &cfg, &cancel, &tel, None).expect("serve")
+            run_with_listeners(&model, &listener, None, &cfg, &cancel, &tel, None).expect("serve")
         });
         client(addr);
         cancel.cancel();
@@ -194,7 +194,7 @@ fn client_trace_id_is_echoed_and_stamped_on_every_exported_span() {
     let trace_id = 777u64;
     let report = thread::scope(|s| {
         let server = s.spawn(|| {
-            run_with_listener(&model, &listener, &cfg, &cancel, &tel, None).expect("serve")
+            run_with_listeners(&model, &listener, None, &cfg, &cancel, &tel, None).expect("serve")
         });
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream

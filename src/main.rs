@@ -116,12 +116,13 @@ Decode kernel (dcgen, strength, serve):
                              deterministic at any thread count. A journal
                              resumes under the kernel that wrote it.
 
-Interrupted `train`/`dcgen` runs with --checkpoint drain cleanly on Ctrl-C
-and continue with --resume. dcgen exits with code 3 when tasks were
-abandoned after exhausting retries.
+`train`, `dcgen` and `serve` drain cleanly on SIGINT (Ctrl-C) or SIGTERM;
+a second signal kills. Interrupted `train`/`dcgen` runs with --checkpoint
+continue with --resume. dcgen exits with code 3 when tasks were abandoned
+after exhausting retries.
 
-serve speaks newline-delimited JSON over TCP; SIGINT/SIGTERM drains
-in-flight requests before exiting. A full admission queue answers
+serve speaks newline-delimited JSON over TCP and answers every admitted
+request before a drain exits. A full admission queue answers
 reject-with-retry-after instead of buffering unboundedly.
 --http-port adds an HTTP observability plane on the same host
 (GET /metrics, /healthz, /statusz; POST /score); --trace-sample N exports
@@ -423,59 +424,13 @@ impl PasswordSink for LineSink {
     }
 }
 
-/// Installs a Ctrl-C handler that trips `cancel` so long runs drain
-/// cleanly (finishing in-flight work and writing a final journal or
-/// checkpoint). A second Ctrl-C falls back to the default handler and
-/// kills the process.
+/// Installs SIGINT and SIGTERM handlers that trip `cancel`, so a Ctrl-C
+/// and a supervisor's terminate both drain a long run instead of killing
+/// it: `train` and `dcgen` finish in-flight work and write a final
+/// checkpoint or journal, and `serve` answers every admitted request. A
+/// second signal falls back to the default handler and kills the process.
 #[cfg(unix)]
-fn install_sigint(cancel: &CancelToken, tel: &Arc<Telemetry>) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    static SIGNALLED: AtomicBool = AtomicBool::new(false);
-    const SIGINT: i32 = 2;
-    const SIG_DFL: usize = 0;
-    extern "C" fn on_sigint(_sig: i32) {
-        // ORD: SeqCst — stores from an async signal context must not be
-        // reordered against anything the watcher thread observes.
-        SIGNALLED.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    unsafe {
-        signal(SIGINT, on_sigint as *const () as usize);
-    }
-    let cancel = cancel.clone();
-    let tel = Arc::clone(tel);
-    std::thread::spawn(move || loop {
-        // ORD: SeqCst load side of the signal-handler flag above.
-        if SIGNALLED.load(Ordering::SeqCst) {
-            tel.event(
-                "warn",
-                "cli.interrupted",
-                &[(
-                    "action",
-                    Field::Str("draining; Ctrl-C again to kill".into()),
-                )],
-            );
-            cancel.cancel();
-            unsafe {
-                signal(SIGINT, SIG_DFL);
-            }
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    });
-}
-
-#[cfg(not(unix))]
-fn install_sigint(_cancel: &CancelToken, _tel: &Arc<Telemetry>) {}
-
-/// Installs SIGINT *and* SIGTERM handlers that trip `cancel`, for the
-/// server: both a Ctrl-C and a supervisor's terminate must drain in-flight
-/// requests instead of dropping them. A second signal falls back to the
-/// default handler and kills the process.
-#[cfg(unix)]
-fn install_shutdown_signals(cancel: &CancelToken, tel: &Arc<Telemetry>) {
+fn install_drain_signals(cancel: &CancelToken, tel: &Arc<Telemetry>) {
     use std::sync::atomic::{AtomicBool, Ordering};
     static SIGNALLED: AtomicBool = AtomicBool::new(false);
     const SIGINT: i32 = 2;
@@ -518,7 +473,7 @@ fn install_shutdown_signals(cancel: &CancelToken, tel: &Arc<Telemetry>) {
 }
 
 #[cfg(not(unix))]
-fn install_shutdown_signals(_cancel: &CancelToken, _tel: &Arc<Telemetry>) {}
+fn install_drain_signals(_cancel: &CancelToken, _tel: &Arc<Telemetry>) {}
 
 fn cmd_synth(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, CliError> {
     let site = parse_site(p.required("site")?)?;
@@ -559,7 +514,7 @@ fn cmd_train(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, CliError> {
     }
     let corpus = read_lines(corpus_path)?;
     let cancel = CancelToken::new();
-    install_sigint(&cancel, &tel.tel);
+    install_drain_signals(&cancel, &tel.tel);
     let mut model = PasswordModel::new(kind, GptConfig::small(VOCAB_SIZE), seed);
     let config = TrainConfig {
         epochs,
@@ -693,7 +648,7 @@ fn cmd_dcgen(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, CliError> {
         PasswordModel::load(ModelKind::PagPassGpt, model_path).map_err(|e| e.to_string())?;
 
     let cancel = CancelToken::new();
-    install_sigint(&cancel, &tel.tel);
+    install_drain_signals(&cancel, &tel.tel);
 
     // With a journal + output file the run streams passwords to disk leaf
     // by leaf, so an interruption loses nothing; on resume the output file
@@ -981,7 +936,6 @@ fn cmd_serve(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, CliError> {
         retries: p.num("retries", defaults.retries)?,
         default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
         trace_sample: p.num("trace-sample", defaults.trace_sample)?,
-        ..defaults
     };
     let http_port: u16 = p.num("http-port", 0)?;
     p.reject_unknown()?;
@@ -999,7 +953,7 @@ fn cmd_serve(p: &Parsed, tel: &TelemetrySetup) -> Result<ExitCode, CliError> {
         None
     };
     let cancel = CancelToken::new();
-    install_shutdown_signals(&cancel, &tel.tel);
+    install_drain_signals(&cancel, &tel.tel);
     tel.tel.event(
         "progress",
         "serve.listening",
