@@ -70,7 +70,7 @@ pub use engine::{ScoreOutcome, ShedReason};
 /// Backoff hint attached to queue-full rejections.
 const RETRY_AFTER_MS: u64 = 50;
 
-/// How long an accept loop (and the drain) sleeps between polls.
+/// How long `accept_until` (and the drain) sleeps between polls.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// How long a plane's socket reads block before re-checking its stop token.
@@ -323,7 +323,7 @@ impl Drop for OpenConn<'_> {
 
 /// Accepts connections on the non-blocking `listener` until `stop` fires,
 /// handing each to `serve`.
-fn accept_loop(listener: &TcpListener, stop: &CancelToken, mut serve: impl FnMut(TcpStream)) {
+fn accept_until(listener: &TcpListener, stop: &CancelToken, mut serve: impl FnMut(TcpStream)) {
     while !stop.is_cancelled() {
         match listener.accept() {
             Ok((stream, _peer)) => serve(stream),
@@ -376,12 +376,12 @@ pub fn run_with_listeners(
             .collect();
         if let Some(hl) = http_listener {
             s.spawn(move || {
-                accept_loop(hl, &shared.http_stop, |stream| {
+                accept_until(hl, &shared.http_stop, |stream| {
                     s.spawn(move || http::handle_connection(stream, shared));
                 });
             });
         }
-        accept_loop(listener, cancel, |stream| {
+        accept_until(listener, cancel, |stream| {
             tcp::spawn_connection(s, stream, shared);
         });
         // Drain: the acceptor has stopped; wait for every reader to stop
